@@ -847,16 +847,12 @@ impl World {
     /// Processes one event. Returns `false` when the queue is empty or the
     /// next event lies beyond `horizon`.
     fn step(&mut self, horizon: SimTime) -> bool {
-        let Some(t) = self.q.peek_time() else {
+        let Some((_, ev)) = self.q.pop_due(horizon) else {
             return false;
         };
-        if t > horizon {
-            return false;
-        }
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
-        let (_, ev) = self.q.pop().expect("peeked event vanished");
         #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
+            let t = self.q.now();
             if t < a.prev_now {
                 let detail = format!("event clock moved backwards: {} after {}", t, a.prev_now);
                 a.log.violate(InvariantKind::TimeMonotonicity, t, detail);
@@ -1005,10 +1001,7 @@ impl World {
                     }
                 }
             }
-            Notice::PacketDelivered { .. }
-            | Notice::PacketDropped { .. }
-            | Notice::LinkDown { .. }
-            | Notice::LinkUp { .. } => {}
+            Notice::PacketDropped { .. } | Notice::LinkDown { .. } | Notice::LinkUp { .. } => {}
         }
     }
 

@@ -94,6 +94,10 @@ pub enum NetEvent {
     LocalInjectDone {
         /// The locally-sent message.
         msg: MessageId,
+        /// The sending node. Carried here because with a zero
+        /// `local_latency` the message's last `Deliver` fires at the same
+        /// instant, first, and retires its in-flight record.
+        src: NodeId,
     },
     /// A scheduled fault window opens or closes on a link (only emitted
     /// when a [`FaultPlan`](crate::FaultPlan) declares down windows and
@@ -116,12 +120,6 @@ pub enum Notice {
         msg: MessageId,
         /// The sending node.
         src: NodeId,
-    },
-    /// A packet arrived at its destination (telemetry; message-level callers
-    /// can ignore it).
-    PacketDelivered {
-        /// The delivered packet.
-        packet: Packet,
     },
     /// Every packet of the message has arrived at the destination node.
     MessageDelivered {
@@ -756,7 +754,6 @@ impl Fabric {
                     src,
                     dst,
                     bytes: *sz,
-                    created: now,
                 };
                 q.schedule_at(
                     busy + self.cfg.local_latency,
@@ -764,12 +761,11 @@ impl Fabric {
                 );
             }
             self.local_busy_until[src.index()] = busy;
-            q.schedule_at(busy, NetEvent::LocalInjectDone { msg: id }.into());
+            q.schedule_at(busy, NetEvent::LocalInjectDone { msg: id, src }.into());
             return id;
         }
 
         self.stats.packets_created += n_pkts as u64;
-        let now = q.now();
         for (i, sz) in sizes.iter().enumerate() {
             self.nics[src.index()].enqueue(
                 flow,
@@ -780,7 +776,6 @@ impl Fabric {
                     src,
                     dst,
                     bytes: *sz,
-                    created: now,
                 },
             );
         }
@@ -914,7 +909,6 @@ impl Fabric {
                     prog.deliver_remaining -= 1;
                     prog.deliver_remaining == 0
                 };
-                out.push(Notice::PacketDelivered { packet });
                 if done {
                     let prog = self
                         .inflight
@@ -950,8 +944,7 @@ impl Fabric {
                     Notice::LinkDown { link }
                 });
             }
-            NetEvent::LocalInjectDone { msg } => {
-                let src = self.inflight.get(&msg).map(|p| p.src).unwrap_or(NodeId(0));
+            NetEvent::LocalInjectDone { msg, src } => {
                 out.push(Notice::MessageInjected { msg, src });
             }
         }
@@ -1079,12 +1072,7 @@ where
     E: From<NetEvent> + Into<NetEvent>,
 {
     let mut out = Vec::new();
-    while let Some(t) = q.peek_time() {
-        if t > horizon {
-            break;
-        }
-        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
-        let (_, ev) = q.pop().expect("peeked event vanished");
+    while let Some((_, ev)) = q.pop_due(horizon) {
         fabric.handle(q, ev.into(), &mut out);
     }
     out
@@ -1131,11 +1119,6 @@ mod tests {
         // 2500 B at MTU 1024 → 3 packets.
         let id = fab.send_message(&mut q, 0, NodeId(0), NodeId(2), 2500);
         let notices = drain(&mut fab, &mut q, SimTime::from_nanos(100_000));
-        let pkts = notices
-            .iter()
-            .filter(|n| matches!(n, Notice::PacketDelivered { .. }))
-            .count();
-        assert_eq!(pkts, 3);
         assert_eq!(delivered(&notices), vec![id]);
         assert_eq!(fab.stats().packets_created, 3);
         assert_eq!(fab.stats().packets_delivered, 3);
@@ -1165,6 +1148,32 @@ mod tests {
         assert_eq!(delivered(&notices), vec![id]);
         assert_eq!(fab.switch_stats().arrivals, 0, "switch must stay idle");
         assert_eq!(fab.stats().local_messages, 1);
+    }
+
+    #[test]
+    fn zero_latency_local_inject_names_its_sender() {
+        // With no local hop latency the last `Deliver` fires at the same
+        // instant as `LocalInjectDone`, first, and retires the in-flight
+        // record; the injection notice must still name the real sender.
+        let mut cfg = SwitchConfig::tiny_deterministic();
+        cfg.local_latency = crate::time::SimDuration::ZERO;
+        cfg.validate().unwrap();
+        let mut fab = Fabric::new(cfg);
+        let mut q = EventQueue::<NetEvent>::new();
+        let id = fab.send_message(&mut q, 0, NodeId(2), NodeId(2), 2048);
+        let notices = drain(&mut fab, &mut q, SimTime::from_nanos(1_000_000));
+        assert_eq!(delivered(&notices), vec![id]);
+        let injected: Vec<_> = notices
+            .iter()
+            .filter(|n| matches!(n, Notice::MessageInjected { .. }))
+            .collect();
+        assert_eq!(
+            injected,
+            vec![&Notice::MessageInjected {
+                msg: id,
+                src: NodeId(2)
+            }]
+        );
     }
 
     #[test]

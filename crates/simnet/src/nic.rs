@@ -107,7 +107,6 @@ impl Nic {
 mod tests {
     use super::*;
     use crate::packet::{MessageId, NodeId};
-    use crate::time::SimTime;
 
     fn pkt(msg: u64, bytes: u64) -> Packet {
         Packet {
@@ -117,7 +116,6 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             bytes,
-            created: SimTime::ZERO,
         }
     }
 

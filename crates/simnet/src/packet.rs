@@ -6,8 +6,6 @@
 //! messages are broken up into multiple small (few KB) packets and sent to
 //! the network switch".
 
-use crate::time::SimTime;
-
 /// Identifies a compute node attached to the switch (also its port index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -54,8 +52,6 @@ pub struct Packet {
     pub dst: NodeId,
     /// Bytes carried by this packet (≤ MTU; the last packet may be short).
     pub bytes: u64,
-    /// When the packet was enqueued at the source NIC (message send time).
-    pub created: SimTime,
 }
 
 /// Splits `bytes` into MTU-sized chunks; the final chunk carries the

@@ -268,7 +268,6 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             bytes: 1024,
-            created: SimTime::ZERO,
         }
     }
 

@@ -170,8 +170,13 @@ impl SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
-        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-        SimDuration(ns as u64)
+        // `bytes * 1e9` fits a u64 for every payload below ~18 GB; the
+        // 128-bit division is only needed past that.
+        let ns = match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(bytes_per_sec),
+            None => serialization_wide(bytes, bytes_per_sec),
+        };
+        SimDuration(ns)
     }
 
     /// Raw nanoseconds.
@@ -206,6 +211,12 @@ impl SimDuration {
         // overflowing product pins at u64::MAX instead of wrapping.
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
+}
+
+/// `ceil(bytes * 1e9 / bytes_per_sec)` in 128-bit arithmetic, truncated to
+/// u64: the serialization time for payloads whose scaled size overflows u64.
+fn serialization_wide(bytes: u64, bytes_per_sec: u64) -> u64 {
+    (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128) as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -303,6 +314,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn time_arithmetic_roundtrips() {
@@ -411,6 +423,35 @@ mod tests {
         );
         // A single byte still takes a nonzero time.
         assert!(SimDuration::serialization(1, u64::MAX / 2).as_nanos() >= 1);
+        // The largest payload the u64 fast path takes agrees with the
+        // 128-bit division.
+        let edge = u64::MAX / 1_000_000_000;
+        assert_eq!(
+            SimDuration::serialization(edge, 3).as_nanos(),
+            serialization_wide(edge, 3)
+        );
+    }
+
+    proptest! {
+        /// The u64 fast path of `serialization` is bit-identical to the
+        /// 128-bit division wherever the scaled size fits a u64: across the
+        /// whole fitting range, and at packet sizes and link rates.
+        #[test]
+        fn prop_serialization_fast_path_is_exact(
+            bytes in 1u64..=u64::MAX / 1_000_000_000,
+            bw in 1u64..u64::MAX,
+            pkt in 1u64..70_000,
+            rate in 1_000_000u64..1_000_000_000_000,
+        ) {
+            prop_assert_eq!(
+                SimDuration::serialization(bytes, bw).as_nanos(),
+                serialization_wide(bytes, bw)
+            );
+            prop_assert_eq!(
+                SimDuration::serialization(pkt, rate).as_nanos(),
+                serialization_wide(pkt, rate)
+            );
+        }
     }
 
     #[test]
