@@ -115,6 +115,43 @@ fn bench_fabric_path(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+
+    // The backlog a CompressionB `P4-M10` rung builds (the shape of the
+    // benchmark's network phase): every Cab node queues 10 messages of
+    // 40 KB for each of 4 ring predecessors at once, then the fabric
+    // drains. Measures the per-packet path under deep NIC backlogs.
+    const NODES: u32 = 18;
+    const PARTNERS: u32 = 4;
+    const MESSAGES: u32 = 10;
+    g.throughput(Throughput::Elements(u64::from(NODES * PARTNERS * MESSAGES)));
+    g.bench_function("cab_bulk_backlog", |b| {
+        b.iter_batched(
+            || {
+                (
+                    Fabric::new(SwitchConfig::cab().with_seed(1)),
+                    EventQueue::<NetEvent>::new(),
+                )
+            },
+            |(mut fab, mut q)| {
+                for p in 0..PARTNERS {
+                    for _ in 0..MESSAGES {
+                        for node in 0..NODES {
+                            let pred = (node + NODES - (p + 1)) % NODES;
+                            fab.send_message(
+                                &mut q,
+                                u64::from(node),
+                                NodeId(node),
+                                NodeId(pred),
+                                40 * 1024,
+                            );
+                        }
+                    }
+                }
+                drain(&mut fab, &mut q, SimTime::from_secs(10)).len()
+            },
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 

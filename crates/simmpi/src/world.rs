@@ -100,6 +100,9 @@ struct JobInfo {
     name: String,
     /// Global rank index of each job-local rank.
     ranks: Vec<u32>,
+    /// Ranks of this job that have executed [`Op::Stop`], so
+    /// [`World::job_done`] is one compare instead of a scan per event.
+    stopped: usize,
 }
 
 /// What a wire message carries, protocol-wise.
@@ -696,6 +699,7 @@ impl World {
         self.jobs.push(JobInfo {
             name: name.into(),
             ranks,
+            stopped: 0,
         });
         job
     }
@@ -732,10 +736,8 @@ impl World {
 
     /// True when every rank of `job` has executed [`Op::Stop`].
     pub fn job_done(&self, job: JobId) -> bool {
-        self.jobs[job.0 as usize]
-            .ranks
-            .iter()
-            .all(|&g| self.ranks[g as usize].status == Status::Stopped)
+        let info = &self.jobs[job.0 as usize];
+        info.stopped == info.ranks.len()
     }
 
     /// The time the last rank of `job` stopped, if the job is done.
@@ -1333,6 +1335,7 @@ impl World {
                     );
                     r.status = Status::Stopped;
                     r.stopped_at = Some(self.q.now());
+                    self.jobs[r.job.0 as usize].stopped += 1;
                     self.trace
                         .transition(rank, RankPhase::Running, self.q.now());
                     return;
@@ -1558,6 +1561,13 @@ mod tests {
         World::new(SwitchConfig::tiny_deterministic())
     }
 
+    #[test]
+    fn world_event_fits_in_24_bytes() {
+        // The queue holds one per pending event; wrapping `NetEvent` must
+        // not add a word to it.
+        assert!(std::mem::size_of::<WorldEvent>() <= 24);
+    }
+
     fn boxed(p: impl Program + 'static) -> Box<dyn Program> {
         Box::new(p)
     }
@@ -1752,6 +1762,52 @@ mod tests {
                 "root {root} deadlocked"
             );
         }
+    }
+
+    #[test]
+    fn job_done_counter_matches_a_rank_scan() {
+        // `job_done` reads a per-job count of stopped ranks; at every step
+        // it must agree with scanning the ranks' statuses.
+        let mut w = tiny_world();
+        let short = w.add_job(
+            "short",
+            vec![(boxed(Scripted::new(vec![Op::Stop])), NodeId(0))],
+        );
+        let mk = |dst: u32, src: u32| {
+            boxed(Scripted::new(vec![
+                Op::Isend {
+                    dst,
+                    bytes: 4096,
+                    tag: 1,
+                },
+                Op::Irecv {
+                    src: Src::Rank(src),
+                    tag: 1,
+                },
+                Op::WaitAll,
+                Op::Stop,
+            ]))
+        };
+        let long = w.add_job("long", vec![(mk(1, 1), NodeId(1)), (mk(0, 0), NodeId(2))]);
+        let scan = |w: &World, job: JobId| {
+            w.jobs[job.0 as usize]
+                .ranks
+                .iter()
+                .all(|&g| w.ranks[g as usize].status == Status::Stopped)
+        };
+        w.bootstrap();
+        let mut seen_long_running = false;
+        loop {
+            for job in [short, long] {
+                assert_eq!(w.job_done(job), scan(&w, job));
+            }
+            seen_long_running |= !w.job_done(long);
+            if !w.step(SimTime::from_secs(1)) {
+                break;
+            }
+        }
+        assert!(seen_long_running);
+        assert!(w.job_done(short) && w.job_done(long));
     }
 
     #[test]

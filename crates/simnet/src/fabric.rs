@@ -22,6 +22,21 @@
 //!   → egress serialize → wire → … → Deliver
 //! ```
 //!
+//! A packet in flight is a [`PacketRef`] (8 bytes): the slot of its
+//! message's record in the fabric's message slab, plus its index within the
+//! message. The record holds the message id, endpoints, size, packet count
+//! and the remaining/dropped ledger; a packet's size and `last` flag are
+//! derived from it, and the full [`Packet`] view is built only for
+//! [`Notice::PacketDropped`]. A record is created by `send_message` and
+//! retired when its last packet is delivered or dropped, which puts its slot
+//! on a free list for the next message. NIC flow queues hold one entry per
+//! message and cut packets from it at transmit time, so a deep backlog costs
+//! one queue entry per message, not per packet.
+//!
+//! None of this changes what is simulated: events are created in the same
+//! places, at the same times and in the same order as with packets carried
+//! by value, and the RNG streams are drawn in the same sequence.
+//!
 //! Flow control is credit-based per switch, with *separate pools per
 //! admission class* — packets entering a leaf from its nodes draw from the
 //! up-pool, packets entering from a spine draw from the down-pool. Down
@@ -46,11 +61,10 @@ use crate::config::{ConfigError, SwitchConfig, Topology};
 use crate::event::EventQueue;
 use crate::fault::{LinkId, LinkState, ServerFaultState};
 use crate::nic::Nic;
-use crate::packet::{segment_sizes, MessageId, NodeId, Packet};
+use crate::packet::{packet_bytes, packet_count, MessageId, NodeId, Packet, PacketRef};
 use crate::stats::{FabricStats, SwitchStats};
-use crate::switch::{CentralStage, CreditPool, EgressPort};
+use crate::switch::{CentralStage, CreditPool, EgressPort, ServiceStart};
 use crate::time::{SimDuration, SimTime};
-use crate::util::IdHashMap;
 
 /// Events internal to the network. Compose into a larger event type via
 /// `From<NetEvent>`.
@@ -66,14 +80,14 @@ pub enum NetEvent {
         /// The switch index.
         sw: u32,
         /// The arriving packet.
-        packet: Packet,
+        packet: PacketRef,
     },
     /// A routing server finished servicing a packet.
     ServiceDone {
         /// The switch index.
         sw: u32,
         /// The routed packet.
-        packet: Packet,
+        packet: PacketRef,
         /// When the packet arrived at the routing stage.
         arrived: SimTime,
     },
@@ -87,7 +101,7 @@ pub enum NetEvent {
     /// A packet arrived at its destination NIC.
     Deliver {
         /// The delivered packet.
-        packet: Packet,
+        packet: PacketRef,
     },
     /// All packets of an intra-node message finished local serialization
     /// (send-side completion for local traffic).
@@ -164,14 +178,84 @@ pub enum Notice {
     },
 }
 
-#[derive(Debug)]
-struct MsgProgress {
+/// One in-flight message in the fabric's message slab. A [`PacketRef`]
+/// names its message by slot; a packet's size, `last` flag and endpoints
+/// are derived from here rather than carried with it.
+#[derive(Debug, Clone, Copy)]
+struct MsgRecord {
+    id: MessageId,
     src: NodeId,
     dst: NodeId,
     bytes: u64,
+    /// Packets the message is cut into ([`packet_count`]).
+    packets: u32,
+    /// Packets not yet delivered or dropped; 0 once the message retired.
     deliver_remaining: u32,
     /// Packets of this message lost to injected faults.
     dropped: u32,
+}
+
+impl MsgRecord {
+    /// Bytes carried by packet `index`.
+    fn packet_bytes(&self, index: u32, mtu: u64) -> u64 {
+        packet_bytes(self.bytes, mtu, self.packets, index)
+    }
+
+    /// The full view of packet `index`, for the upper layer.
+    fn packet(&self, index: u32, mtu: u64) -> Packet {
+        Packet {
+            msg: self.id,
+            index,
+            last: index + 1 == self.packets,
+            src: self.src,
+            dst: self.dst,
+            bytes: self.packet_bytes(index, mtu),
+        }
+    }
+}
+
+/// In-flight message records by dense slot. A retired message's slot goes
+/// on a free list and is reused by the next message, so the slab is only
+/// as long as the peak number of messages in flight at once.
+#[derive(Debug, Default)]
+struct MessageSlab {
+    records: Vec<MsgRecord>,
+    free: Vec<u32>,
+}
+
+impl MessageSlab {
+    /// Stores a new in-flight message and returns its slot.
+    fn insert(&mut self, rec: MsgRecord) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.records[slot as usize] = rec;
+                slot
+            }
+            None => {
+                self.records.push(rec);
+                (self.records.len() - 1) as u32
+            }
+        }
+    }
+
+    /// True when no message is in flight.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.records.len()
+    }
+}
+
+impl std::ops::Index<PacketRef> for MessageSlab {
+    type Output = MsgRecord;
+
+    fn index(&self, pkt: PacketRef) -> &MsgRecord {
+        &self.records[pkt.slot as usize]
+    }
+}
+
+impl std::ops::IndexMut<PacketRef> for MessageSlab {
+    fn index_mut(&mut self, pkt: PacketRef) -> &mut MsgRecord {
+        &mut self.records[pkt.slot as usize]
+    }
 }
 
 /// Resolved per-link fault state plus the dedicated loss RNG. Present
@@ -292,8 +376,8 @@ impl Routes {
 
     /// The admission class a packet occupies at switch `sw`: up/main (0)
     /// when it entered from a node, down (1) when it entered from a spine.
-    fn class_at(&self, sw: u32, pkt: &Packet) -> usize {
-        if self.is_spine(sw) || self.leaf_of(pkt.src) == sw {
+    fn class_at(&self, sw: u32, src: NodeId) -> usize {
+        if self.is_spine(sw) || self.leaf_of(src) == sw {
             0
         } else {
             1
@@ -311,7 +395,7 @@ pub struct Fabric {
     local_busy_until: Vec<SimTime>,
     rng: StdRng,
     next_msg: u64,
-    inflight: IdHashMap<MessageId, MsgProgress>,
+    slab: MessageSlab,
     stats: FabricStats,
     faults: Option<FaultLayer>,
     /// Invariant auditor state. `None` until [`Fabric::enable_audit`]; the
@@ -450,7 +534,7 @@ impl Fabric {
             local_busy_until: vec![SimTime::ZERO; cfg.nodes as usize],
             rng: StdRng::seed_from_u64(cfg.seed),
             next_msg: 0,
-            inflight: IdHashMap::default(),
+            slab: MessageSlab::default(),
             stats: FabricStats::default(),
             faults,
             cfg,
@@ -489,14 +573,7 @@ impl Fabric {
         {
             self.audit.as_ref()?;
             self.audit_quiescence_check();
-            Some(
-                self.audit
-                    .as_deref_mut()
-                    // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
-                    .expect("checked above")
-                    .log
-                    .take_report(),
-            )
+            self.audit.as_deref_mut().map(|a| a.log.take_report())
         }
         #[cfg(not(feature = "audit"))]
         {
@@ -509,11 +586,12 @@ impl Fabric {
     /// cannot be "gone" while still holding a credit or occupying a FIFO.
     #[cfg(feature = "audit")]
     fn audit_quiescence_check(&mut self) {
-        if self.audit.is_none() || !self.is_quiescent() {
+        if !self.is_quiescent() {
             return;
         }
-        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
-        let audit = self.audit.as_deref_mut().expect("checked above");
+        let Some(audit) = self.audit.as_deref_mut() else {
+            return;
+        };
         let now = audit.last_now;
         for (sw, unit) in self.switches.iter().enumerate() {
             for (class, pool) in unit.pools.iter().enumerate() {
@@ -600,31 +678,26 @@ impl Fabric {
     /// Accounts a fault-dropped packet: per-message progress, fabric
     /// counters, and the [`Notice::PacketDropped`] /
     /// [`Notice::MessageDropped`] upcalls.
-    fn drop_packet(&mut self, pkt: Packet, link: LinkId, out: &mut Vec<Notice>) {
+    fn drop_packet(&mut self, pkt: PacketRef, link: LinkId, out: &mut Vec<Notice>) {
         self.stats.packets_dropped += 1;
-        out.push(Notice::PacketDropped { packet: pkt, link });
-        let finished = {
-            let prog = self
-                .inflight
-                .get_mut(&pkt.msg)
-                // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
-                .expect("drop for unknown message");
-            prog.dropped += 1;
-            prog.deliver_remaining -= 1;
-            prog.deliver_remaining == 0
-        };
-        if finished {
-            let prog = self
-                .inflight
-                .remove(&pkt.msg)
-                // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
-                .expect("present: checked above");
+        let rec = &mut self.slab[pkt];
+        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+        assert!(rec.deliver_remaining > 0, "drop for unknown message");
+        out.push(Notice::PacketDropped {
+            packet: rec.packet(pkt.index, self.cfg.mtu),
+            link,
+        });
+        rec.dropped += 1;
+        rec.deliver_remaining -= 1;
+        if rec.deliver_remaining == 0 {
+            let rec = *rec;
+            self.slab.free.push(pkt.slot);
             self.stats.messages_dropped += 1;
             out.push(Notice::MessageDropped {
-                msg: pkt.msg,
-                src: prog.src,
-                dst: prog.dst,
-                bytes: prog.bytes,
+                msg: rec.id,
+                src: rec.src,
+                dst: rec.dst,
+                bytes: rec.bytes,
             });
         }
     }
@@ -707,6 +780,10 @@ impl Fabric {
     /// `flow` identifies the sending context (a rank / queue pair): the
     /// source NIC arbitrates round-robin between flows so one sender's
     /// backlog cannot head-of-line-block another's traffic.
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is not a node of this fabric, or if the
+    /// message needs more than `u32::MAX` packets.
     pub fn send_message<E: From<NetEvent>>(
         &mut self,
         q: &mut EventQueue<E>,
@@ -726,18 +803,16 @@ impl Fabric {
         self.next_msg += 1;
         self.stats.messages_sent += 1;
 
-        let sizes = segment_sizes(bytes, self.cfg.mtu);
-        let n_pkts = sizes.len() as u32;
-        self.inflight.insert(
+        let packets = packet_count(bytes, self.cfg.mtu);
+        let slot = self.slab.insert(MsgRecord {
             id,
-            MsgProgress {
-                src,
-                dst,
-                bytes,
-                deliver_remaining: n_pkts,
-                dropped: 0,
-            },
-        );
+            src,
+            dst,
+            bytes,
+            packets,
+            deliver_remaining: packets,
+            dropped: 0,
+        });
 
         if src == dst {
             // Local path: sequential serialization on the node's local
@@ -745,19 +820,15 @@ impl Fabric {
             self.stats.local_messages += 1;
             let now = q.now();
             let mut busy = self.local_busy_until[src.index()].max(now);
-            for (i, sz) in sizes.iter().enumerate() {
-                busy += crate::time::SimDuration::serialization(*sz, self.cfg.local_bandwidth);
-                let pkt = Packet {
-                    msg: id,
-                    index: i as u32,
-                    last: i + 1 == sizes.len(),
-                    src,
-                    dst,
-                    bytes: *sz,
-                };
+            for index in 0..packets {
+                let size = packet_bytes(bytes, self.cfg.mtu, packets, index);
+                busy += SimDuration::serialization(size, self.cfg.local_bandwidth);
                 q.schedule_at(
                     busy + self.cfg.local_latency,
-                    NetEvent::Deliver { packet: pkt }.into(),
+                    NetEvent::Deliver {
+                        packet: PacketRef { slot, index },
+                    }
+                    .into(),
                 );
             }
             self.local_busy_until[src.index()] = busy;
@@ -765,25 +836,19 @@ impl Fabric {
             return id;
         }
 
-        self.stats.packets_created += n_pkts as u64;
-        for (i, sz) in sizes.iter().enumerate() {
-            self.nics[src.index()].enqueue(
-                flow,
-                Packet {
-                    msg: id,
-                    index: i as u32,
-                    last: i + 1 == sizes.len(),
-                    src,
-                    dst,
-                    bytes: *sz,
-                },
-            );
-        }
+        self.stats.packets_created += u64::from(packets);
+        self.nics[src.index()].enqueue(flow, slot, packets);
         self.try_start_nic(q, src);
         id
     }
 
     /// Processes one network event, appending upcalls to `out`.
+    ///
+    /// # Panics
+    /// Panics if the event refers to a packet whose message is not in
+    /// flight (a delivery or drop for an unknown or already retired
+    /// message): the engine's ledger is corrupt, and a run must halt rather
+    /// than report plausible-but-wrong results.
     pub fn handle<E: From<NetEvent>>(
         &mut self,
         q: &mut EventQueue<E>,
@@ -798,9 +863,10 @@ impl Fabric {
         match ev {
             NetEvent::NicTxDone { node } => {
                 let pkt = self.nics[node.index()].tx_done();
-                if pkt.last {
+                let rec = &self.slab[pkt];
+                if pkt.index + 1 == rec.packets {
                     out.push(Notice::MessageInjected {
-                        msg: pkt.msg,
+                        msg: rec.id,
                         src: node,
                     });
                 }
@@ -841,10 +907,12 @@ impl Fabric {
                 if let Some(start) = unit.central.service_done(arrived, q.now(), &mut self.rng) {
                     Self::schedule_service(q, sw, start);
                 }
-                let port = self.routes.route_port(sw, packet.dst);
+                let dst = self.slab[packet].dst;
+                let port = self.routes.route_port(sw, dst);
                 #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
-                    a.egress_accept(sw, port, packet.bytes);
+                    let bytes = self.slab[packet].packet_bytes(packet.index, self.cfg.mtu);
+                    a.egress_accept(sw, port, bytes);
                 }
                 self.switches[sw as usize].egress[port as usize].accept(packet);
                 self.try_start_egress(q, sw, port);
@@ -853,11 +921,13 @@ impl Fabric {
                 let pkt = self.switches[sw as usize].egress[port as usize].tx_done();
                 #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
-                    a.egress_transmit(sw, port, pkt.bytes, q.now());
+                    let bytes = self.slab[pkt].packet_bytes(pkt.index, self.cfg.mtu);
+                    a.egress_transmit(sw, port, bytes, q.now());
                 }
                 // The packet has left this switch: release its admission
                 // credit and wake exactly one waiter of that class.
-                let class = self.routes.class_at(sw, &pkt);
+                let src = self.slab[pkt].src;
+                let class = self.routes.class_at(sw, src);
                 self.release_credit(q, sw, class);
                 // Forward onto the wire. This switch's credit is released
                 // above, but a packet bound for another switch already holds
@@ -897,31 +967,23 @@ impl Fabric {
                 self.try_start_egress(q, sw, port);
             }
             NetEvent::Deliver { packet } => {
-                if packet.src != packet.dst {
+                let rec = &mut self.slab[packet];
+                // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
+                assert!(rec.deliver_remaining > 0, "delivery for unknown message");
+                if rec.src != rec.dst {
                     self.stats.packets_delivered += 1;
                 }
-                let done = {
-                    let prog = self
-                        .inflight
-                        .get_mut(&packet.msg)
-                        // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
-                        .expect("delivery for unknown message");
-                    prog.deliver_remaining -= 1;
-                    prog.deliver_remaining == 0
-                };
-                if done {
-                    let prog = self
-                        .inflight
-                        .remove(&packet.msg)
-                        // anp-lint: allow(D003) — locally proven: guarded by the explicit check a few lines above
-                        .expect("present: checked above");
-                    if prog.dropped == 0 {
+                rec.deliver_remaining -= 1;
+                if rec.deliver_remaining == 0 {
+                    let rec = *rec;
+                    self.slab.free.push(packet.slot);
+                    if rec.dropped == 0 {
                         self.stats.messages_delivered += 1;
                         out.push(Notice::MessageDelivered {
-                            msg: packet.msg,
-                            src: prog.src,
-                            dst: prog.dst,
-                            bytes: prog.bytes,
+                            msg: rec.id,
+                            src: rec.src,
+                            dst: rec.dst,
+                            bytes: rec.bytes,
                         });
                     } else {
                         // Some packets were lost: the message can never be
@@ -929,10 +991,10 @@ impl Fabric {
                         // the surviving packets arrived.
                         self.stats.messages_dropped += 1;
                         out.push(Notice::MessageDropped {
-                            msg: packet.msg,
-                            src: prog.src,
-                            dst: prog.dst,
-                            bytes: prog.bytes,
+                            msg: rec.id,
+                            src: rec.src,
+                            dst: rec.dst,
+                            bytes: rec.bytes,
                         });
                     }
                 }
@@ -950,11 +1012,12 @@ impl Fabric {
         }
     }
 
-    fn schedule_service<E: From<NetEvent>>(
-        q: &mut EventQueue<E>,
-        sw: u32,
-        start: crate::switch::ServiceStart,
-    ) {
+    /// Bytes carried by an in-flight packet, derived from its message.
+    fn packet_bytes(&self, pkt: PacketRef) -> u64 {
+        self.slab[pkt].packet_bytes(pkt.index, self.cfg.mtu)
+    }
+
+    fn schedule_service<E: From<NetEvent>>(q: &mut EventQueue<E>, sw: u32, start: ServiceStart) {
         q.schedule_after(
             start.service,
             NetEvent::ServiceDone {
@@ -975,7 +1038,8 @@ impl Fabric {
         let leaf = self.routes.leaf_of(node);
         if self.switches[leaf as usize].pools[0].try_acquire() {
             let bw = self.link_bandwidth_of(LinkId::NodeUp(node));
-            let d = self.nics[node.index()].start_tx(bw);
+            let pkt = self.nics[node.index()].start_tx();
+            let d = SimDuration::serialization(self.packet_bytes(pkt), bw);
             q.schedule_after(d, NetEvent::NicTxDone { node }.into());
         } else {
             self.nics[node.index()].waiting_for_credit = true;
@@ -1004,7 +1068,8 @@ impl Fabric {
             NextHop::Switch { sw: next, .. } => LinkId::Trunk { from: sw, to: next },
         };
         let bw = self.link_bandwidth_of(link);
-        let d = self.switches[sw as usize].egress[port as usize].start_tx(bw);
+        let pkt = self.switches[sw as usize].egress[port as usize].start_tx();
+        let d = SimDuration::serialization(self.packet_bytes(pkt), bw);
         q.schedule_after(d, NetEvent::EgressTxDone { sw, port }.into());
     }
 
@@ -1047,7 +1112,7 @@ impl Fabric {
 
     /// True when no packet is anywhere in the fabric (testing aid).
     pub fn is_quiescent(&self) -> bool {
-        self.inflight.is_empty()
+        self.slab.is_empty()
             && self
                 .switches
                 .iter()
@@ -1497,6 +1562,145 @@ mod tests {
             }
             drain(&mut fab, &mut q, SimTime::from_secs(100));
             prop_assert_eq!(fab.switch_stats().served, fab.stats().packets_created);
+        }
+    }
+
+    #[test]
+    fn net_event_fits_in_24_bytes() {
+        // Every pending event sits in the queue; a fatter variant grows
+        // every entry, not just its own.
+        assert!(std::mem::size_of::<NetEvent>() <= 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery for unknown message")]
+    fn delivery_for_a_retired_message_halts() {
+        let (mut fab, mut q) = setup();
+        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
+        drain(&mut fab, &mut q, SimTime::from_secs(1));
+        assert!(fab.is_quiescent());
+        let stale = NetEvent::Deliver {
+            packet: PacketRef { slot: 0, index: 0 },
+        };
+        fab.handle(&mut q, stale, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "drop for unknown message")]
+    fn drop_for_a_retired_message_halts() {
+        let (mut fab, mut q) = setup();
+        fab.send_message(&mut q, 0, NodeId(0), NodeId(1), 512);
+        drain(&mut fab, &mut q, SimTime::from_secs(1));
+        let stale = PacketRef { slot: 0, index: 0 };
+        fab.drop_packet(stale, LinkId::NodeUp(NodeId(0)), &mut Vec::new());
+    }
+
+    /// What [`run_slot_mix`] observed.
+    struct SlotMix {
+        /// Most messages in flight at once (sent, not yet delivered or
+        /// dropped), counted from the notices.
+        peak_live: usize,
+        /// Every message resolved as delivered or dropped.
+        all_resolved: bool,
+        /// Some message's packets arrived out of index order.
+        reordered: bool,
+    }
+
+    /// Sends `msgs` (src, dst, bytes, events to run before the next send)
+    /// on a fabric, interleaving sends with event handling so messages
+    /// retire and their slots are reused while others are in flight, then
+    /// drains it.
+    fn run_slot_mix(fab: &mut Fabric, msgs: &[(u32, u32, u64, u32)]) -> SlotMix {
+        let mut q: EventQueue<NetEvent> = EventQueue::new();
+        fab.prime_fault_events(&mut q);
+        let horizon = SimTime::from_secs(100);
+        let mut live = 0usize;
+        let mut mix = SlotMix {
+            peak_live: 0,
+            all_resolved: false,
+            reordered: false,
+        };
+        let mut last_index: std::collections::BTreeMap<MessageId, u32> = Default::default();
+        let mut out = Vec::new();
+        let mut step = |fab: &mut Fabric, q: &mut EventQueue<NetEvent>, live: &mut usize| {
+            let Some((_, ev)) = q.pop_due(horizon) else {
+                return false;
+            };
+            if let NetEvent::Deliver { packet } = ev {
+                let id = fab.slab[packet].id;
+                if let Some(prev) = last_index.insert(id, packet.index) {
+                    mix.reordered |= packet.index < prev;
+                }
+            }
+            fab.handle(q, ev, &mut out);
+            for n in out.drain(..) {
+                if matches!(
+                    n,
+                    Notice::MessageDelivered { .. } | Notice::MessageDropped { .. }
+                ) {
+                    *live -= 1;
+                }
+            }
+            true
+        };
+        for (i, &(src, dst, bytes, pops)) in msgs.iter().enumerate() {
+            fab.send_message(&mut q, i as u64 % 3, NodeId(src), NodeId(dst), bytes);
+            live += 1;
+            mix.peak_live = mix.peak_live.max(live);
+            for _ in 0..pops {
+                step(fab, &mut q, &mut live);
+            }
+        }
+        while step(fab, &mut q, &mut live) {}
+        mix.all_resolved = live == 0;
+        mix
+    }
+
+    /// The mix configurations: single switch or fat tree, lossless or
+    /// lossy, with parallel routing servers and exponential service so
+    /// packets of one message can overtake each other.
+    fn slot_mix_config(fat_tree: bool, lossy: bool) -> SwitchConfig {
+        let mut cfg = if fat_tree {
+            tiny_fat_tree()
+        } else {
+            SwitchConfig::tiny_deterministic()
+        };
+        cfg.route_servers = 3;
+        cfg.service = crate::service::ServiceDistribution::Exponential { mean_ns: 3000.0 };
+        if lossy {
+            cfg = cfg.with_fault_plan(FaultPlan::uniform_loss(0.05).with_seed(11));
+        }
+        cfg
+    }
+
+    #[test]
+    fn parallel_servers_reorder_packets_of_a_message() {
+        // The slot-recycling property below must hold under reordering;
+        // check the mix really produces it.
+        let msgs: Vec<(u32, u32, u64, u32)> =
+            (0..20).map(|i| (i % 4, (i + 1) % 4, 8_000, 3)).collect();
+        let mut fab = Fabric::new(slot_mix_config(false, false));
+        assert!(run_slot_mix(&mut fab, &msgs).reordered);
+    }
+
+    proptest! {
+        /// After a random mix of remote and local messages drains, every
+        /// slab slot is free again, the slab never grew past the peak
+        /// number of messages in flight at once, and the fabric is
+        /// quiescent — with or without losses, on either topology.
+        #[test]
+        fn prop_message_slots_are_recycled(
+            msgs in proptest::collection::vec((0u32..4, 0u32..4, 0u64..12_000, 0u32..40), 1..50),
+            shape in (0u32..2, 0u32..2),
+        ) {
+            let (fat_tree, lossy) = shape;
+            let mut fab = Fabric::new(slot_mix_config(fat_tree == 1, lossy == 1));
+            let mix = run_slot_mix(&mut fab, &msgs);
+            prop_assert!(mix.all_resolved);
+            prop_assert_eq!(fab.slab.free.len(), fab.slab.records.len());
+            prop_assert!(fab.slab.records.len() <= mix.peak_live);
+            prop_assert!(fab.slab.records.iter().all(|r| r.deliver_remaining == 0));
+            prop_assert!(fab.is_quiescent());
         }
     }
 

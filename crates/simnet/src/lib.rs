@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::missing_panics_doc)]
 
 pub mod audit;
 pub mod config;
@@ -53,7 +54,7 @@ pub use config::{ConfigError, SwitchConfig, Topology};
 pub use event::EventQueue;
 pub use fabric::{drain, Fabric, NetEvent, Notice};
 pub use fault::{FaultPlan, FaultWindow, LinkFault, LinkId, LinkSelector, ServerFault};
-pub use packet::{Message, MessageId, NodeId, Packet};
+pub use packet::{Message, MessageId, NodeId, Packet, PacketRef};
 pub use service::ServiceDistribution;
 pub use stats::{FabricStats, SwitchStats};
 pub use time::{SimDuration, SimTime};

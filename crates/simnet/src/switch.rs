@@ -22,13 +22,18 @@
 //! InfiniBand switches. A note on ordering: with parallel servers two
 //! packets can reorder inside the switch; message completion is counted,
 //! not sequenced, so upper layers are unaffected.
+//!
+//! Every queue here holds [`PacketRef`] handles, not packets: the routing
+//! stage and the ports never need a packet's size or endpoints. The fabric
+//! derives those from the message record when it routes a packet and when
+//! it computes a port's serialization time.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 
 use crate::fault::ServerFaultState;
-use crate::packet::Packet;
+use crate::packet::PacketRef;
 use crate::service::ServiceDistribution;
 use crate::stats::SwitchStats;
 use crate::time::{SimDuration, SimTime};
@@ -38,7 +43,7 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStart {
     /// The packet entering service.
-    pub packet: Packet,
+    pub packet: PacketRef,
     /// When the packet arrived at the routing stage (for completion-time
     /// accounting).
     pub arrived: SimTime,
@@ -57,6 +62,9 @@ pub struct CreditPool {
 
 impl CreditPool {
     /// Creates a pool of `capacity` credits.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(capacity > 0, "a credit pool needs capacity");
@@ -91,7 +99,7 @@ impl CreditPool {
 /// The parallel routing stage.
 #[derive(Debug)]
 pub struct CentralStage {
-    queue: VecDeque<(Packet, SimTime)>,
+    queue: VecDeque<(PacketRef, SimTime)>,
     busy: usize,
     servers: usize,
     service: ServiceDistribution,
@@ -101,6 +109,9 @@ pub struct CentralStage {
 
 impl CentralStage {
     /// Creates an idle stage with `servers` parallel routing servers.
+    ///
+    /// # Panics
+    /// Panics if `servers` is zero.
     pub fn new(service: ServiceDistribution, servers: usize) -> Self {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(servers >= 1, "need at least one routing server");
@@ -126,7 +137,12 @@ impl CentralStage {
     /// Handles a packet arriving at the routing stage (credit already
     /// held). Returns a [`ServiceStart`] if a server was free; otherwise
     /// the packet queues.
-    pub fn arrive(&mut self, pkt: Packet, now: SimTime, rng: &mut StdRng) -> Option<ServiceStart> {
+    pub fn arrive(
+        &mut self,
+        pkt: PacketRef,
+        now: SimTime,
+        rng: &mut StdRng,
+    ) -> Option<ServiceStart> {
         self.stats.arrivals += 1;
         let depth = self.queue.len() + self.busy;
         self.stats.queue_len_sum += depth as u128;
@@ -141,7 +157,7 @@ impl CentralStage {
 
     fn start_service(
         &mut self,
-        pkt: Packet,
+        pkt: PacketRef,
         arrived: SimTime,
         now: SimTime,
         rng: &mut StdRng,
@@ -204,8 +220,8 @@ impl CentralStage {
 /// hop's admission credits.
 #[derive(Debug, Default)]
 pub struct EgressPort {
-    queue: VecDeque<Packet>,
-    in_flight: Option<Packet>,
+    queue: VecDeque<PacketRef>,
+    in_flight: Option<PacketRef>,
     /// True while this port is parked in another switch's credit-waiter
     /// list (prevents double-parking).
     pub(crate) waiting_for_credit: bool,
@@ -214,7 +230,7 @@ pub struct EgressPort {
 impl EgressPort {
     /// Queues a routed packet; the caller decides when transmission may
     /// start (see [`EgressPort::can_start`]).
-    pub fn accept(&mut self, pkt: Packet) {
+    pub fn accept(&mut self, pkt: PacketRef) {
         self.queue.push_back(pkt);
     }
 
@@ -225,23 +241,28 @@ impl EgressPort {
     }
 
     /// Begins serializing the head packet (any next-hop credit must
-    /// already be held). Returns the serialization duration; the caller
-    /// schedules TX-done.
-    pub fn start_tx(&mut self, bytes_per_sec: u64) -> SimDuration {
+    /// already be held) and returns it; the caller derives its
+    /// serialization time and schedules TX-done.
+    ///
+    /// # Panics
+    /// Panics if the port has nothing queued.
+    pub fn start_tx(&mut self) -> PacketRef {
         debug_assert!(self.in_flight.is_none(), "egress started while busy");
         let pkt = self
             .queue
             .pop_front()
             // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
             .expect("start_tx on empty egress queue");
-        let d = SimDuration::serialization(pkt.bytes, bytes_per_sec);
         self.in_flight = Some(pkt);
-        d
+        pkt
     }
 
     /// Completes the in-flight transmission, returning the packet now on
     /// the wire.
-    pub fn tx_done(&mut self) -> Packet {
+    ///
+    /// # Panics
+    /// Panics if no transmission is in flight.
+    pub fn tx_done(&mut self) -> PacketRef {
         self.in_flight
             .take()
             // anp-lint: allow(D003) — internal engine ledger invariant; breakage means corrupted simulator state, which must halt rather than emit plausible-but-wrong results
@@ -257,18 +278,10 @@ impl EgressPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{MessageId, NodeId};
     use rand::SeedableRng;
 
-    fn pkt(id: u64) -> Packet {
-        Packet {
-            msg: MessageId(id),
-            index: 0,
-            last: true,
-            src: NodeId(0),
-            dst: NodeId(1),
-            bytes: 1024,
-        }
+    fn pkt(slot: u32) -> PacketRef {
+        PacketRef { slot, index: 0 }
     }
 
     fn det(servers: usize) -> CentralStage {
@@ -298,7 +311,7 @@ mod tests {
         let mut st = det(1);
         let t0 = SimTime::from_nanos(0);
         let s = st.arrive(pkt(1), t0, &mut rng).expect("server free");
-        assert_eq!(s.packet.msg, MessageId(1));
+        assert_eq!(s.packet, pkt(1));
         assert_eq!(s.service, SimDuration::from_nanos(100));
         assert!(st.arrive(pkt(2), t0, &mut rng).is_none(), "server busy");
         assert_eq!(st.depth(), 2);
@@ -306,7 +319,7 @@ mod tests {
         let next = st
             .service_done(s.arrived, SimTime::from_nanos(100), &mut rng)
             .expect("queued packet starts");
-        assert_eq!(next.packet.msg, MessageId(2));
+        assert_eq!(next.packet, pkt(2));
         assert!(st
             .service_done(next.arrived, SimTime::from_nanos(200), &mut rng)
             .is_none());
@@ -352,17 +365,17 @@ mod tests {
     #[test]
     fn egress_port_serializes_back_to_back() {
         let mut port = EgressPort::default();
-        let bw = 1_000_000_000; // 1 GB/s → 1024 B = 1024 ns
         port.accept(pkt(1));
         port.accept(pkt(2));
         assert_eq!(port.depth(), 2);
         assert!(port.can_start());
-        assert_eq!(port.start_tx(bw), SimDuration::from_nanos(1024));
+        assert_eq!(port.start_tx(), pkt(1));
         assert!(!port.can_start(), "busy port cannot start another tx");
-        assert_eq!(port.tx_done().msg, MessageId(1));
+        assert_eq!(port.depth(), 2, "the packet on the wire still counts");
+        assert_eq!(port.tx_done(), pkt(1));
         assert!(port.can_start());
-        assert_eq!(port.start_tx(bw), SimDuration::from_nanos(1024));
-        assert_eq!(port.tx_done().msg, MessageId(2));
+        assert_eq!(port.start_tx(), pkt(2));
+        assert_eq!(port.tx_done(), pkt(2));
         assert_eq!(port.depth(), 0);
         assert!(!port.can_start(), "drained port has nothing to send");
     }

@@ -153,6 +153,9 @@ impl SimDuration {
     ///
     /// The paper expresses CompressionB's "bubble" parameter `B` in cycles
     /// of Cab's 2.6 GHz Xeons; this is the conversion used throughout.
+    ///
+    /// # Panics
+    /// Panics if `hz` is zero.
     pub fn from_cycles(cycles: u64, hz: u64) -> Self {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(hz > 0, "clock rate must be positive");
@@ -164,6 +167,9 @@ impl SimDuration {
     /// The time to serialize `bytes` onto a link of `bytes_per_sec`
     /// bandwidth, rounded up to the next nanosecond (never zero for a
     /// non-empty payload).
+    ///
+    /// # Panics
+    /// Panics if `bytes_per_sec` is zero.
     pub fn serialization(bytes: u64, bytes_per_sec: u64) -> Self {
         // anp-lint: allow(D003) — documented `# Panics` precondition on caller input; a bad value is a caller bug, not a runtime condition
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
