@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the statistics and model kernels: histogram
 //! construction, the PDFLT overlap integral, quantiles, the P-K inversion,
-//! and full model prediction against a realistic look-up table.
+//! full model prediction against a realistic look-up table, and the flow
+//! backend's traffic extraction for the collective-heavy app proxies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
@@ -119,10 +120,31 @@ fn bench_model_prediction(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_flow_describe(c: &mut Criterion) {
+    use anp_core::experiments::ExperimentConfig;
+    use anp_workloads::{AppKind, RunMode};
+
+    let cfg = ExperimentConfig::cab();
+    let mut g = c.benchmark_group("flowsim");
+    for app in [AppKind::Fftw, AppKind::Milc, AppKind::Amg] {
+        // The flow backend's own build: default iterations, derived seed.
+        let seed = cfg.workload_seed(app as u64 + 1);
+        g.bench_function(format!("describe_{}", app.name().to_lowercase()), |b| {
+            b.iter_batched(
+                || app.build(RunMode::Iterations(0), seed),
+                |members| anp_flowsim::describe_members(app.name(), members, &cfg.switch),
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_metrics,
     bench_queue_model,
-    bench_model_prediction
+    bench_model_prediction,
+    bench_flow_describe
 );
 criterion_main!(benches);

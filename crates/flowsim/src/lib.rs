@@ -37,9 +37,9 @@
 pub mod extract;
 pub mod model;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use anp_core::experiments::{ExperimentConfig, ExperimentError};
 use anp_core::journal::config_fingerprint;
@@ -85,13 +85,19 @@ pub struct FlowBackend;
 /// MTU (packet segmentation), and leaf layout (cross-leaf fractions).
 type DescriptorKey = (AppKind, u64, u32, u64, u32, u32);
 
-/// Process-wide memo of extracted application descriptors. The walk is
-/// pure in [`DescriptorKey`] but costs tens of milliseconds per app
-/// (every rank program runs to completion), and it used to dominate
-/// every flow-backend measurement; memoizing it leaves the equilibrium
-/// solve — microseconds — as the marginal cost of a flow answer.
-static APP_DESCRIPTORS: OnceLock<Mutex<BTreeMap<DescriptorKey, TrafficDescriptor>>> =
-    OnceLock::new();
+/// Most descriptors the process-wide memo keeps. A pass over the paper's
+/// study needs 12 per seed (six apps × two salts); fresh seeds must not
+/// grow the memo for the life of the process.
+const MEMO_CAPACITY: usize = 64;
+
+/// Process-wide memo of extracted application descriptors, oldest first.
+/// The walk is pure in [`DescriptorKey`] but takes milliseconds per app
+/// (every rank program runs to completion), while the equilibrium solve
+/// takes microseconds; memoizing leaves the solve as the marginal cost of
+/// a flow answer. Bounded at [`MEMO_CAPACITY`] entries: the oldest is
+/// evicted, which only costs a re-walk, never a different answer.
+static APP_DESCRIPTORS: Mutex<VecDeque<(DescriptorKey, TrafficDescriptor)>> =
+    Mutex::new(VecDeque::new());
 
 /// Recovers a memo-table lock even if a supervised sweep cell panicked
 /// while holding it. The memo tables only ever hold fully computed
@@ -125,13 +131,18 @@ impl FlowBackend {
     /// the same (deterministic) descriptor.
     fn app_descriptor(cfg: &ExperimentConfig, app: AppKind, salt: u64) -> TrafficDescriptor {
         let key = descriptor_key(cfg, app, salt);
-        let cache = APP_DESCRIPTORS.get_or_init(|| Mutex::new(BTreeMap::new()));
-        if let Some(d) = lock_memo(cache).get(&key) {
+        if let Some((_, d)) = lock_memo(&APP_DESCRIPTORS).iter().find(|(k, _)| *k == key) {
             return d.clone();
         }
         let members = app.build(RunMode::Iterations(0), cfg.workload_seed(salt));
         let d = extract::describe_members(app.name(), members, &cfg.switch);
-        lock_memo(cache).insert(key, d.clone());
+        let mut memo = lock_memo(&APP_DESCRIPTORS);
+        if !memo.iter().any(|(k, _)| *k == key) {
+            if memo.len() == MEMO_CAPACITY {
+                memo.pop_front();
+            }
+            memo.push_back((key, d.clone()));
+        }
         d
     }
 
@@ -597,6 +608,30 @@ mod tests {
             "different configs must not share cache entries"
         );
         assert_eq!(batch.misses(), 2);
+    }
+
+    #[test]
+    fn descriptor_memo_stays_bounded_and_re_walks_evicted_keys_identically() {
+        // Seeds no other test uses, so every query below is a fresh key.
+        let cfg_at = |seed: u64| {
+            let mut cfg = ExperimentConfig::cab();
+            cfg.seed = 0xDE5C_0000 + seed;
+            cfg
+        };
+        let salt = AppKind::Mcb as u64 + 1;
+        let first = FlowBackend::app_descriptor(&cfg_at(0), AppKind::Mcb, salt);
+        for seed in 1..=(MEMO_CAPACITY as u64 + 8) {
+            FlowBackend::app_descriptor(&cfg_at(seed), AppKind::Mcb, salt);
+            assert!(lock_memo(&APP_DESCRIPTORS).len() <= MEMO_CAPACITY);
+        }
+        let key = descriptor_key(&cfg_at(0), AppKind::Mcb, salt);
+        assert!(
+            !lock_memo(&APP_DESCRIPTORS).iter().any(|(k, _)| *k == key),
+            "{} newer keys must have evicted the first",
+            MEMO_CAPACITY + 8
+        );
+        let again = FlowBackend::app_descriptor(&cfg_at(0), AppKind::Mcb, salt);
+        assert_eq!(again.bits(), first.bits());
     }
 
     #[test]

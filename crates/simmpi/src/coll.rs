@@ -17,6 +17,39 @@ use crate::op::{Op, Src};
 /// sensitivity comes from.
 pub const ALLTOALL_WINDOW: usize = 1;
 
+/// Lowers a collective `op` for job-local rank `local` out of `n` into its
+/// point-to-point expansion, tagged from `tag_base` (two consecutive free
+/// tags). Returns `None` for ops that are not collectives.
+///
+/// This is the single dispatch from [`Op`] to the `expand_*` functions:
+/// the discrete-event world and the analytic traffic walk both lower
+/// through it, so they see identical expansions.
+///
+/// ```
+/// use anp_simmpi::coll::lower;
+/// use anp_simmpi::Op;
+///
+/// let ops = lower(&Op::Alltoall { bytes_per_pair: 64 }, 0, 4, 100).unwrap();
+/// assert_eq!(ops.iter().filter(|o| matches!(o, Op::Isend { .. })).count(), 3);
+/// assert!(lower(&Op::WaitAll, 0, 4, 100).is_none());
+/// ```
+pub fn lower(op: &Op, local: u32, n: u32, tag_base: u32) -> Option<Vec<Op>> {
+    Some(match *op {
+        Op::Barrier => expand_barrier(local, n, tag_base),
+        Op::Allreduce { bytes } => expand_allreduce(local, n, bytes, tag_base),
+        Op::Alltoall { bytes_per_pair } => expand_alltoall(local, n, bytes_per_pair, tag_base),
+        Op::Bcast { root, bytes } => expand_bcast(local, root, n, bytes, tag_base),
+        Op::Reduce { root, bytes } => expand_reduce(local, root, n, bytes, tag_base),
+        Op::Allgather { bytes_per_rank } => expand_allgather(local, n, bytes_per_rank, tag_base),
+        Op::Compute(_)
+        | Op::Sleep(_)
+        | Op::Isend { .. }
+        | Op::Irecv { .. }
+        | Op::WaitAll
+        | Op::Stop => return None,
+    })
+}
+
 /// Expands an allreduce of `bytes` for job-local rank `local` out of `n`.
 ///
 /// `tag_base` must provide two consecutive free tags (`tag_base`,
@@ -379,6 +412,51 @@ mod tests {
         assert!(expand_bcast(0, 0, 1, 8, 0).is_empty());
         assert!(expand_reduce(0, 0, 1, 8, 0).is_empty());
         assert!(expand_allgather(0, 1, 8, 0).is_empty());
+    }
+
+    #[test]
+    fn lower_dispatches_to_the_matching_expansion() {
+        let (l, n, t) = (3u32, 7u32, 40u32);
+        let cases = [
+            (Op::Barrier, expand_barrier(l, n, t)),
+            (Op::Allreduce { bytes: 96 }, expand_allreduce(l, n, 96, t)),
+            (
+                Op::Alltoall { bytes_per_pair: 5 },
+                expand_alltoall(l, n, 5, t),
+            ),
+            (
+                Op::Bcast { root: 2, bytes: 70 },
+                expand_bcast(l, 2, n, 70, t),
+            ),
+            (
+                Op::Reduce { root: 6, bytes: 12 },
+                expand_reduce(l, 6, n, 12, t),
+            ),
+            (
+                Op::Allgather { bytes_per_rank: 9 },
+                expand_allgather(l, n, 9, t),
+            ),
+        ];
+        for (op, want) in cases {
+            assert_eq!(lower(&op, l, n, t), Some(want), "{op:?}");
+        }
+        for op in [
+            Op::Compute(anp_simnet::SimDuration::from_nanos(1)),
+            Op::Sleep(anp_simnet::SimDuration::from_nanos(1)),
+            Op::Isend {
+                dst: 0,
+                bytes: 1,
+                tag: 0,
+            },
+            Op::Irecv {
+                src: Src::Any,
+                tag: 0,
+            },
+            Op::WaitAll,
+            Op::Stop,
+        ] {
+            assert_eq!(lower(&op, l, n, t), None, "{op:?}");
+        }
     }
 
     #[test]

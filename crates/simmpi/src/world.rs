@@ -24,10 +24,7 @@ use anp_simnet::{
     SimTime, SwitchConfig,
 };
 
-use crate::coll::{
-    expand_allgather, expand_allreduce, expand_alltoall, expand_barrier, expand_bcast,
-    expand_reduce,
-};
+use crate::coll;
 use crate::op::{Op, Src};
 use crate::p2p::{Envelope, Mailbox};
 use crate::program::{Ctx, Program};
@@ -1310,22 +1307,6 @@ impl World {
                         return;
                     }
                 }
-                Op::Barrier => self.inject_collective(rank, CollKind::Barrier),
-                Op::Allreduce { bytes } => {
-                    self.inject_collective(rank, CollKind::Allreduce { bytes })
-                }
-                Op::Alltoall { bytes_per_pair } => {
-                    self.inject_collective(rank, CollKind::Alltoall { bytes_per_pair })
-                }
-                Op::Bcast { root, bytes } => {
-                    self.inject_collective(rank, CollKind::Bcast { root, bytes })
-                }
-                Op::Reduce { root, bytes } => {
-                    self.inject_collective(rank, CollKind::Reduce { root, bytes })
-                }
-                Op::Allgather { bytes_per_rank } => {
-                    self.inject_collective(rank, CollKind::Allgather { bytes_per_rank })
-                }
                 Op::Stop => {
                     let r = &mut self.ranks[rank as usize];
                     assert_eq!(
@@ -1340,6 +1321,7 @@ impl World {
                         .transition(rank, RankPhase::Running, self.q.now());
                     return;
                 }
+                coll_op => self.inject_collective(rank, &coll_op),
             }
         }
     }
@@ -1497,7 +1479,7 @@ impl World {
         self.awaiting_data.insert(rts_id, receiver);
     }
 
-    fn inject_collective(&mut self, rank: u32, kind: CollKind) {
+    fn inject_collective(&mut self, rank: u32, op: &Op) {
         let (job, local, seq) = {
             let r = &mut self.ranks[rank as usize];
             assert_eq!(
@@ -1512,17 +1494,8 @@ impl World {
         let n = self.jobs[job.0 as usize].ranks.len() as u32;
         // Two tags per instance, cycling within the reserved tag space.
         let tag_base = Op::RESERVED_TAG_BASE + ((seq % (1 << 28)) << 1);
-        let ops = match kind {
-            CollKind::Barrier => expand_barrier(local, n, tag_base),
-            CollKind::Allreduce { bytes } => expand_allreduce(local, n, bytes, tag_base),
-            CollKind::Alltoall { bytes_per_pair } => {
-                expand_alltoall(local, n, bytes_per_pair, tag_base)
-            }
-            CollKind::Bcast { root, bytes } => expand_bcast(local, root, n, bytes, tag_base),
-            CollKind::Reduce { root, bytes } => expand_reduce(local, root, n, bytes, tag_base),
-            CollKind::Allgather { bytes_per_rank } => {
-                expand_allgather(local, n, bytes_per_rank, tag_base)
-            }
+        let Some(ops) = coll::lower(op, local, n, tag_base) else {
+            unreachable!("`advance` injects only collectives, got {op:?}");
         };
         let r = &mut self.ranks[rank as usize];
         debug_assert!(
@@ -1536,16 +1509,6 @@ impl World {
 /// Dense key for a (source, destination) global-rank pair.
 fn pair_key(src_global: u32, dst_global: u32) -> u64 {
     (u64::from(src_global) << 32) | u64::from(dst_global)
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CollKind {
-    Barrier,
-    Allreduce { bytes: u64 },
-    Alltoall { bytes_per_pair: u64 },
-    Bcast { root: u32, bytes: u64 },
-    Reduce { root: u32, bytes: u64 },
-    Allgather { bytes_per_rank: u64 },
 }
 
 #[cfg(test)]
