@@ -50,7 +50,7 @@ fn main() {
     print!("{}", render_report(&mopts, &report));
 
     let sweeps = [&report.telemetry];
-    opts.emit_bench_json_monitor("monitor_study", &sweeps, &monitor_records(&report));
+    opts.emit_bench_json_full("monitor_study", &sweeps, &[], &monitor_records(&report));
 
     let violations = gate_violations(&mopts, &report);
     for v in &violations {

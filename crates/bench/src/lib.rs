@@ -42,9 +42,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use anp_core::{
-    calibrate_with, error_summaries, partial_exit_code, Backend, Calibration, DesBackend,
-    ExperimentConfig, JournalError, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome,
-    Parallelism, RetryPolicy, RunBudget, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
+    calibrate_with, error_summaries, partial_exit_code, Backend, Calibration, ExperimentConfig,
+    JournalError, LatencyProfile, LookupTable, ModelKind, MuPolicy, PairOutcome, Parallelism,
+    RunBudget, RunJournal, Study, Supervisor, SweepTelemetry, TaskError,
 };
 use anp_monitor::MonitorRecord;
 use anp_sched::SchedRecord;
@@ -71,8 +71,8 @@ pub struct HarnessOpts {
     pub backend: String,
     /// Re-attempts per failed/panicked sweep cell (`--max-retries`).
     pub max_retries: u32,
-    /// Per-cell wall-clock budget in seconds (`--run-budget`).
-    pub run_budget_secs: Option<f64>,
+    /// Per-cell wall-clock budget (`--run-budget <secs>`).
+    pub run_budget: Option<Duration>,
     /// Per-cell simulator-event budget (`--event-budget`).
     pub event_budget: Option<u64>,
     /// Run journal for crash-safe resume (`--resume <path>`): created
@@ -89,13 +89,10 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-impl HarnessOpts {
-    /// Parses `--quick`, `--seed <n>`, `--cache <path>`, `--jobs <n>`,
-    /// `--bench-json <path>` / `--no-bench-json`, `--backend <name>`,
-    /// `--max-retries <n>`, `--run-budget <secs>`, `--event-budget <n>`,
-    /// and `--resume <path>` from `std::env`.
-    pub fn from_args() -> Self {
-        let mut opts = HarnessOpts {
+impl Default for HarnessOpts {
+    /// The options of a harness invoked without flags.
+    fn default() -> Self {
+        HarnessOpts {
             quick: false,
             seed: 0xA11CE,
             cache: None,
@@ -103,10 +100,20 @@ impl HarnessOpts {
             bench_json: Some(PathBuf::from("BENCH_anp.json")),
             backend: "des".to_owned(),
             max_retries: 0,
-            run_budget_secs: None,
+            run_budget: None,
             event_budget: None,
             resume: None,
-        };
+        }
+    }
+}
+
+impl HarnessOpts {
+    /// Parses `--quick`, `--seed <n>`, `--cache <path>`, `--jobs <n>`,
+    /// `--bench-json <path>` / `--no-bench-json`, `--backend <name>`,
+    /// `--max-retries <n>`, `--run-budget <secs>`, `--event-budget <n>`,
+    /// and `--resume <path>` from `std::env`.
+    pub fn from_args() -> Self {
+        let mut opts = HarnessOpts::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -162,10 +169,12 @@ impl HarnessOpts {
                     let secs: f64 = v
                         .parse()
                         .unwrap_or_else(|_| usage_error("--run-budget needs a number of seconds"));
-                    if secs <= 0.0 {
-                        usage_error("--run-budget must be positive");
+                    match Duration::try_from_secs_f64(secs) {
+                        Ok(wall) if !wall.is_zero() => opts.run_budget = Some(wall),
+                        _ => {
+                            usage_error("--run-budget must be a positive, finite number of seconds")
+                        }
                     }
-                    opts.run_budget_secs = Some(secs);
                 }
                 "--event-budget" => {
                     let v = args
@@ -193,22 +202,13 @@ impl HarnessOpts {
     }
 
     /// The supervision envelope these options describe: per-cell budgets
-    /// and retry policy (the backoff doubles from 100 ms).
+    /// and retry policy ([`Supervisor::new`]).
     pub fn supervisor(&self) -> Supervisor {
-        Supervisor {
-            budget: RunBudget {
-                wall: self.run_budget_secs.map(Duration::from_secs_f64),
-                events: self.event_budget,
-            },
-            retry: RetryPolicy {
-                max_retries: self.max_retries,
-                backoff: if self.max_retries > 0 {
-                    Duration::from_millis(100)
-                } else {
-                    Duration::ZERO
-                },
-            },
-        }
+        let budget = RunBudget {
+            wall: self.run_budget,
+            events: self.event_budget,
+        };
+        Supervisor::new(budget, self.max_retries)
     }
 
     /// Opens the `--resume` journal: resumed when the file exists,
@@ -217,27 +217,18 @@ impl HarnessOpts {
     /// requested crash net would be worse.
     pub fn open_journal(&self) -> Option<RunJournal> {
         let path = self.resume.as_ref()?;
-        let journal = if path.exists() {
-            RunJournal::resume(path)
-        } else {
-            RunJournal::create(path)
-        };
-        match journal {
-            Ok(j) => {
-                if j.completed_cells() > 0 {
-                    println!(
-                        "(resuming: {} completed cells journaled in {})",
-                        j.completed_cells(),
-                        path.display()
-                    );
-                }
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        let journal = RunJournal::open_or_create(path).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        });
+        if journal.completed_cells() > 0 {
+            println!(
+                "(resuming: {} completed cells journaled in {})",
+                journal.completed_cells(),
+                path.display()
+            );
         }
+        Some(journal)
     }
 
     /// Resolves `--backend` to a measurement engine, validated against
@@ -274,32 +265,10 @@ impl HarnessOpts {
         self.emit_bench_json_full(harness, sweeps, &[], &[]);
     }
 
-    /// [`HarnessOpts::emit_bench_json`] with per-policy scheduling
-    /// records for the `sched` array (the `sched_study` harness and
-    /// the `anp sched` subcommand).
-    pub fn emit_bench_json_sched(
-        &self,
-        harness: &str,
-        sweeps: &[&SweepTelemetry],
-        sched: &[SchedRecord],
-    ) {
-        self.emit_bench_json_full(harness, sweeps, sched, &[]);
-    }
-
-    /// [`HarnessOpts::emit_bench_json`] with per-window monitor records
-    /// for the v5 `monitor` array (the `monitor_study` harness and the
-    /// `anp monitor` subcommand).
-    pub fn emit_bench_json_monitor(
-        &self,
-        harness: &str,
-        sweeps: &[&SweepTelemetry],
-        monitor: &[MonitorRecord],
-    ) {
-        self.emit_bench_json_full(harness, sweeps, &[], monitor);
-    }
-
-    /// The full emitter behind every `emit_bench_json*` front: writes the
-    /// v5 document with whichever arrays the harness populated.
+    /// [`HarnessOpts::emit_bench_json`] with the optional arrays: per-policy
+    /// scheduling records for `sched` (the `sched_study` harness) and
+    /// per-window monitor records for `monitor` (the `monitor_study`
+    /// harness).
     pub fn emit_bench_json_full(
         &self,
         harness: &str,
@@ -308,7 +277,7 @@ impl HarnessOpts {
         monitor: &[MonitorRecord],
     ) {
         let Some(path) = &self.bench_json else { return };
-        match write_bench_json_v5(
+        match write_bench_json(
             path,
             harness,
             self.seed,
@@ -364,63 +333,6 @@ pub fn banner(artifact: &str, what: &str, opts: &HarnessOpts) {
     println!();
 }
 
-/// Measures the queue calibration, look-up table, and app impact profiles
-/// — everything the prediction study needs except co-run ground truth.
-pub fn measure_study(
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> Study {
-    measure_study_recorded(cfg, apps, sweep, verbose).0
-}
-
-/// [`measure_study`], additionally returning the telemetry of the
-/// look-up-table and app-profile sweeps. Runs on the reference DES
-/// backend.
-pub fn measure_study_recorded(
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> (Study, Vec<SweepTelemetry>) {
-    measure_study_recorded_with(&DesBackend, cfg, apps, sweep, verbose)
-}
-
-/// [`measure_study_recorded`] on an explicit measurement backend: the
-/// calibration, the look-up table, and the app impact profiles all come
-/// from the same engine, so a flow-model study is internally consistent
-/// rather than mixing analytic profiles with DES calibration.
-pub fn measure_study_recorded_with(
-    backend: &dyn Backend,
-    cfg: &ExperimentConfig,
-    apps: &[AppKind],
-    sweep: &[CompressionConfig],
-    verbose: bool,
-) -> (Study, Vec<SweepTelemetry>) {
-    let progress = |line: &str| {
-        if verbose {
-            println!("  [measure] {line}");
-        }
-    };
-    let calibration: Calibration =
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        calibrate_with(backend, cfg, MuPolicy::MinLatency).expect("idle calibration failed");
-    let (table, lut_telemetry) =
-        LookupTable::measure_recorded_with(backend, cfg, calibration, apps, sweep, progress)
-            // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-            .expect("look-up table measurement failed");
-    let (study, profile_telemetry) =
-        Study::measure_profiles_recorded_with(backend, cfg, table, apps, |line| {
-            if verbose {
-                println!("  [measure] {line}");
-            }
-        })
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        .expect("app impact profiles failed");
-    (study, vec![lut_telemetry, profile_telemetry])
-}
-
 /// Typed holes and cell counts accumulated across the sweeps of one
 /// supervised measurement campaign.
 #[derive(Debug, Default)]
@@ -472,12 +384,17 @@ impl Supervision {
     }
 }
 
-/// [`measure_study_recorded_with`] under a supervision envelope: failing
-/// cells leave typed holes instead of aborting the harness, and with a
-/// journal every completed cell survives a crash. The study comes back
-/// `None` when no look-up-table entry completed (nothing to predict
-/// from); otherwise it is partial where cells failed and byte-identical
-/// to the plain path where they did not.
+/// Measures the queue calibration, look-up table, and app impact profiles
+/// on `backend` — everything the prediction study needs except co-run
+/// ground truth. The calibration, the table, and the profiles all come
+/// from the same engine, so a flow-model study is internally consistent
+/// rather than mixing analytic profiles with DES calibration.
+///
+/// The sweeps run under the supervision envelope: failing cells leave
+/// typed holes instead of aborting the harness, and with a journal every
+/// completed cell survives a crash. The study comes back `None` when no
+/// look-up-table entry completed (nothing to predict from); otherwise it
+/// is partial where cells failed.
 pub fn measure_study_supervised_with(
     backend: &dyn Backend,
     cfg: &ExperimentConfig,
@@ -507,23 +424,12 @@ pub fn measure_study_supervised_with(
         progress,
     )?;
     let mut telemetry = vec![lut_telemetry];
-    let (table, failures, completed, total) = (lut.table, lut.failures, lut.completed, lut.total);
-    supervision.absorb(failures, completed, total);
-    let Some(table) = table else {
+    supervision.absorb(lut.failures, lut.completed, lut.total);
+    let Some(table) = lut.table else {
         return Ok((None, supervision, telemetry));
     };
     let (study, profile_failures, profile_telemetry) = Study::measure_profiles_supervised_with(
-        backend,
-        cfg,
-        table,
-        apps,
-        supervisor,
-        journal,
-        |line| {
-            if verbose {
-                println!("  [measure] {line}");
-            }
-        },
+        backend, cfg, table, apps, supervisor, journal, progress,
     )?;
     supervision.absorb(profile_failures, study.app_profiles.len(), apps.len());
     telemetry.push(profile_telemetry);
@@ -542,9 +448,12 @@ pub struct SupervisedOutcomes {
     pub telemetry: Vec<SweepTelemetry>,
 }
 
-/// [`full_outcomes_recorded`] under the options' supervision envelope
-/// (`--max-retries`, `--run-budget`, `--event-budget`, `--resume`):
-/// failures leave typed holes, siblings complete, and the caller maps
+/// Runs (or loads from cache) the complete prediction study: isolated
+/// measurements, predictions for every ordered pair, and co-run ground
+/// truth, under the options' supervision envelope (`--max-retries`,
+/// `--run-budget`, `--event-budget`, `--resume`). Outcomes come back in
+/// victim-major order with the telemetry of every sweep that actually
+/// ran. Failures leave typed holes, siblings complete, and the caller maps
 /// [`Supervision::exit_code`] onto the 0/3/1 convention. The cache is
 /// honored only when it holds a *complete* campaign, and written only
 /// when this campaign completes — a partial cache would silently shadow
@@ -627,49 +536,6 @@ pub fn full_outcomes_supervised(opts: &HarnessOpts) -> SupervisedOutcomes {
     }
 }
 
-/// Runs (or loads from cache) the complete prediction study: isolated
-/// measurements, predictions for every ordered pair, and co-run ground
-/// truth. Returns outcomes in victim-major order, plus the telemetry of
-/// every sweep that actually ran (empty when served from cache).
-pub fn full_outcomes_recorded(opts: &HarnessOpts) -> (Vec<PairOutcome>, Vec<SweepTelemetry>) {
-    if let Some(path) = &opts.cache {
-        if let Some(outcomes) = load_outcomes(path) {
-            println!(
-                "(loaded {} cached pairings from {})",
-                outcomes.len(),
-                path.display()
-            );
-            return (outcomes, Vec::new());
-        }
-    }
-    let cfg = opts.experiment_config();
-    let backend = opts.resolve_backend();
-    let apps = opts.apps();
-    let sweep = opts.compression_sweep();
-    let (study, mut telemetry) =
-        measure_study_recorded_with(backend.as_ref(), &cfg, &apps, &sweep, true);
-    let models = anp_core::all_models();
-    let mut outcomes = study.predict_all(&apps, &models);
-    let pair_telemetry = study
-        .measure_pairs_recorded_with(backend.as_ref(), &cfg, &mut outcomes, |line| {
-            println!("  [corun] {line}")
-        })
-        // anp-lint: allow(D003) — bench harness boundary: a failed measurement invalidates the whole benchmark run, so aborting with the error text is the contract
-        .expect("co-run measurement failed");
-    telemetry.push(pair_telemetry);
-    if let Some(path) = &opts.cache {
-        if save_outcomes(path, &outcomes) {
-            println!("(cached pairings to {})", path.display());
-        }
-    }
-    (outcomes, telemetry)
-}
-
-/// [`full_outcomes_recorded`] without the telemetry.
-pub fn full_outcomes(opts: &HarnessOpts) -> Vec<PairOutcome> {
-    full_outcomes_recorded(opts).0
-}
-
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
 /// directory is written, flushed to disk, and renamed over the target,
 /// so a crash (or kill) mid-write can never leave a torn artefact — the
@@ -711,7 +577,8 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// `workers`, end-to-end `wall_secs`, the serial-equivalent
 /// `serial_secs`, the realized `speedup`, total simulation `events`,
 /// aggregate `events_per_sec`, and a `per_run` array of
-/// `{label, backend, wall_secs, events, outcome, retries}` cells. v2
+/// `{label, backend, wall_secs, events, outcome, retries}` cells; `sched`
+/// and `monitor` may be empty. v2
 /// added the sweep- and run-level `backend` fields; v3 added the
 /// top-level `journal` path and the per-run `outcome`
 /// (`ok`/`resumed`/`failed`/`panicked`/`budget`) and `retries` fields;
@@ -724,31 +591,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// empty for harnesses that do not monitor (see DESIGN.md, "Telemetry
 /// schema"). The file is written atomically ([`write_atomic`]).
 pub fn write_bench_json(
-    path: &Path,
-    harness: &str,
-    seed: u64,
-    journal: Option<&Path>,
-    sweeps: &[&SweepTelemetry],
-) -> std::io::Result<()> {
-    write_bench_json_v5(path, harness, seed, journal, sweeps, &[], &[])
-}
-
-/// [`write_bench_json`] with the `sched` array populated: one record
-/// per placement policy of a scheduling study.
-pub fn write_bench_json_v4(
-    path: &Path,
-    harness: &str,
-    seed: u64,
-    journal: Option<&Path>,
-    sweeps: &[&SweepTelemetry],
-    sched: &[SchedRecord],
-) -> std::io::Result<()> {
-    write_bench_json_v5(path, harness, seed, journal, sweeps, sched, &[])
-}
-
-/// [`write_bench_json`] with both optional arrays: per-policy `sched`
-/// records and per-window `monitor` records.
-pub fn write_bench_json_v5(
     path: &Path,
     harness: &str,
     seed: u64,
@@ -943,28 +785,9 @@ mod tests {
     fn quick_sweep_is_a_subset() {
         let quick = HarnessOpts {
             quick: true,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
-            max_retries: 0,
-            run_budget_secs: None,
-            event_budget: None,
-            resume: None,
+            ..HarnessOpts::default()
         };
-        let full = HarnessOpts {
-            quick: false,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
-            max_retries: 0,
-            run_budget_secs: None,
-            event_budget: None,
-            resume: None,
-        };
+        let full = HarnessOpts::default();
         assert_eq!(full.compression_sweep().len(), 40);
         assert_eq!(quick.compression_sweep().len(), 8);
         let partners: std::collections::HashSet<u32> = quick
@@ -1019,7 +842,7 @@ mod tests {
                 retries: 1,
             }],
         };
-        write_bench_json(&path, "h", 7, Some(Path::new("run.jsonl")), &[&t]).unwrap();
+        write_bench_json(&path, "h", 7, Some(Path::new("run.jsonl")), &[&t], &[], &[]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"schema\": \"anp-bench-v5\""));
         assert!(text.contains("\"journal\": \"run.jsonl\""));
@@ -1064,7 +887,7 @@ mod tests {
             utilization: 0.0,
             shift: None,
         };
-        write_bench_json_v5(&path, "h", 7, None, &[&t], &[rec], &[win, quiet]).unwrap();
+        write_bench_json(&path, "h", 7, None, &[&t], &[rec], &[win, quiet]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"journal\": null"));
         assert!(text.contains("\"policy\":\"predictive:Queue:flow\""));
@@ -1079,24 +902,18 @@ mod tests {
     #[test]
     fn supervisor_reflects_flags() {
         let mut opts = HarnessOpts {
-            quick: false,
-            seed: 1,
-            cache: None,
-            jobs: None,
-            bench_json: None,
-            backend: "des".to_owned(),
             max_retries: 2,
-            run_budget_secs: Some(1.5),
+            run_budget: Some(Duration::from_millis(1500)),
             event_budget: Some(100),
-            resume: None,
+            ..HarnessOpts::default()
         };
         let sup = opts.supervisor();
         assert_eq!(sup.retry.max_retries, 2);
         assert!(!sup.retry.backoff.is_zero());
-        assert_eq!(sup.budget.wall, Some(Duration::from_secs_f64(1.5)));
+        assert_eq!(sup.budget.wall, Some(Duration::from_millis(1500)));
         assert_eq!(sup.budget.events, Some(100));
         opts.max_retries = 0;
-        opts.run_budget_secs = None;
+        opts.run_budget = None;
         opts.event_budget = None;
         let sup = opts.supervisor();
         assert!(sup.budget.is_unlimited());

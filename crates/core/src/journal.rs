@@ -507,6 +507,18 @@ impl RunJournal {
         })
     }
 
+    /// Opens the journal behind a `--resume <path>` flag: resumed when
+    /// the file exists ([`RunJournal::resume`]), created otherwise
+    /// ([`RunJournal::create`]).
+    pub fn open_or_create(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
+        let path = path.into();
+        if path.exists() {
+            Self::resume(path)
+        } else {
+            Self::create(path)
+        }
+    }
+
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -733,6 +745,32 @@ mod tests {
             j.prior("lut", 0xABCD, &wrong),
             Err(JournalError::ShapeMismatch { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_or_create_resumes_existing_and_creates_absent_journals() {
+        let dir = std::env::temp_dir().join(format!("anp-journal-open-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("open.jsonl");
+        std::fs::remove_file(&path).ok();
+
+        // Absent: a fresh journal is created.
+        let j = RunJournal::open_or_create(&path).unwrap();
+        assert!(path.exists() && j.completed_cells() == 0);
+        j.record(&entry("lut", 1, CellStatus::Ok, Some("7")));
+        drop(j);
+        // Present: it is resumed, not truncated.
+        assert_eq!(
+            RunJournal::open_or_create(&path).unwrap().completed_cells(),
+            1
+        );
+        // Unusable: a directory cannot be resumed, nor a file under a
+        // missing directory created.
+        for bad in [dir.clone(), dir.join("missing").join("j.jsonl")] {
+            let err = RunJournal::open_or_create(bad).unwrap_err();
+            assert!(matches!(err, JournalError::Io { .. }), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

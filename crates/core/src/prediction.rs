@@ -11,14 +11,14 @@ use std::collections::BTreeMap;
 use anp_metrics::{MetricsError, QuartileSummary};
 use anp_workloads::AppKind;
 
-use crate::backend::{Backend, DesBackend, WorkloadSpec};
-use crate::experiments::{degradation_percent, ExperimentConfig, ExperimentError};
+use crate::backend::{Backend, WorkloadSpec};
+use crate::experiments::{degradation_percent, ExperimentConfig};
 use crate::journal::{config_fingerprint, JournalError, RunJournal};
 use crate::lut::LookupTable;
 use crate::models::{ModelKind, SlowdownModel};
 use crate::samples::LatencyProfile;
 use crate::supervise::{sweep_supervised_for, Supervisor, TaskError};
-use crate::sweep::{sweep_recorded_for, SweepTelemetry};
+use crate::sweep::SweepTelemetry;
 
 /// Why a pairing has no slowdown value to offer.
 ///
@@ -132,70 +132,15 @@ impl Study {
         }
     }
 
-    /// Measures the application impact profiles for `apps` (the table must
-    /// already exist). The per-app runs are independent simulations and
-    /// fan out across [`ExperimentConfig::jobs`] workers.
-    pub fn measure_profiles(
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        progress: impl FnMut(&str),
-    ) -> Result<Self, ExperimentError> {
-        Self::measure_profiles_recorded(cfg, table, apps, progress).map(|(s, _)| s)
-    }
-
-    /// [`Study::measure_profiles`], additionally returning the sweep's
-    /// telemetry record. Runs on the reference DES backend.
-    pub fn measure_profiles_recorded(
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        Self::measure_profiles_recorded_with(&DesBackend, cfg, table, apps, progress)
-    }
-
-    /// [`Study::measure_profiles_recorded`] on an explicit measurement
-    /// backend.
-    pub fn measure_profiles_recorded_with(
-        backend: &dyn Backend,
-        cfg: &ExperimentConfig,
-        table: LookupTable,
-        apps: &[AppKind],
-        mut progress: impl FnMut(&str),
-    ) -> Result<(Self, SweepTelemetry), ExperimentError> {
-        let tasks: Vec<(String, _)> = apps
-            .iter()
-            .map(|&app| {
-                let label = format!("profile:{}", app.name());
-                (label, move || {
-                    backend.measure_impact_profile(cfg, WorkloadSpec::App(app))
-                })
-            })
-            .collect();
-        let (results, telemetry) =
-            sweep_recorded_for("app-profiles", backend.name(), cfg.jobs, tasks);
-        let mut app_profiles = BTreeMap::new();
-        for (&app, r) in apps.iter().zip(results) {
-            let p = r?;
-            progress(&format!(
-                "impact {} -> mean {:.2}us sd {:.2}us util {:.1}%",
-                app.name(),
-                p.mean(),
-                p.std_dev(),
-                table.calibration.utilization(&p) * 100.0
-            ));
-            app_profiles.insert(app, p);
-        }
-        Ok((Study::from_parts(table, app_profiles), telemetry))
-    }
-
-    /// [`Study::measure_profiles_recorded_with`] under a supervision
-    /// envelope: failing apps leave typed holes (their profiles are
-    /// simply absent from the study, so [`Study::predict_pair`] yields no
-    /// predictions for them) instead of aborting the whole measurement.
-    /// A clean run is byte-identical to the plain path; with a journal,
-    /// completed profiles resume instead of re-simulating.
+    /// Measures the application impact profiles for `apps` on `backend`
+    /// (the table must already exist). The per-app runs are independent
+    /// simulations and fan out across [`ExperimentConfig::jobs`] workers
+    /// under the supervision envelope: failing apps leave typed holes
+    /// (their profiles are simply absent from the study, so
+    /// [`Study::predict_pair`] yields no predictions for them) instead of
+    /// aborting the whole measurement. With a journal, completed profiles
+    /// resume instead of re-simulating; pass [`Supervisor::none`] and no
+    /// journal for a plain measurement.
     pub fn measure_profiles_supervised_with(
         backend: &dyn Backend,
         cfg: &ExperimentConfig,
@@ -307,73 +252,15 @@ impl Study {
         out
     }
 
-    /// Measures the co-run ground truth for one pairing and fills it in.
-    pub fn measure_pair(
-        &self,
-        cfg: &ExperimentConfig,
-        outcome: &mut PairOutcome,
-    ) -> Result<(), ExperimentError> {
-        let solo = self.table.solo[&outcome.victim];
-        let loaded = DesBackend.measure_corun_runtime(cfg, outcome.victim, outcome.other)?;
-        outcome.measured = Some(degradation_percent(solo, loaded));
-        Ok(())
-    }
-
-    /// Measures the co-run ground truth for every pairing in `outcomes`
-    /// (the quadratic Table-I grid). Each pairing is an independent
-    /// simulation, so the grid fans out across [`ExperimentConfig::jobs`]
-    /// workers; `outcomes` is filled in place, in its own order. Returns
-    /// the sweep's telemetry record.
-    pub fn measure_pairs_recorded(
-        &self,
-        cfg: &ExperimentConfig,
-        outcomes: &mut [PairOutcome],
-        progress: impl FnMut(&str),
-    ) -> Result<SweepTelemetry, ExperimentError> {
-        self.measure_pairs_recorded_with(&DesBackend, cfg, outcomes, progress)
-    }
-
-    /// [`Study::measure_pairs_recorded`] on an explicit measurement
-    /// backend.
-    pub fn measure_pairs_recorded_with(
-        &self,
-        backend: &dyn Backend,
-        cfg: &ExperimentConfig,
-        outcomes: &mut [PairOutcome],
-        mut progress: impl FnMut(&str),
-    ) -> Result<SweepTelemetry, ExperimentError> {
-        let tasks: Vec<(String, _)> = outcomes
-            .iter()
-            .map(|o| {
-                let (victim, other) = (o.victim, o.other);
-                let label = format!("corun:{}+{}", victim.name(), other.name());
-                (label, move || {
-                    backend.measure_corun_runtime(cfg, victim, other)
-                })
-            })
-            .collect();
-        let (results, telemetry) =
-            sweep_recorded_for("pairing-grid", backend.name(), cfg.jobs, tasks);
-        for (o, r) in outcomes.iter_mut().zip(results) {
-            let solo = self.table.solo[&o.victim];
-            let measured = degradation_percent(solo, r?);
-            o.measured = Some(measured);
-            progress(&format!(
-                "{} with {} -> measured {measured:+.1}%",
-                o.victim.name(),
-                o.other.name(),
-            ));
-        }
-        Ok(telemetry)
-    }
-
-    /// [`Study::measure_pairs_recorded_with`] under a supervision
-    /// envelope. Pairings whose cell fails keep `measured: None` — the
-    /// natural typed hole of [`PairOutcome`] — and the reason comes back
-    /// in the failure list; every sibling pairing still completes. A
-    /// pairing whose victim has no solo baseline in the (possibly
-    /// partial) table also stays unmeasured. A clean run fills `outcomes`
-    /// byte-identically to the plain path.
+    /// Measures the co-run ground truth on `backend` for every pairing in
+    /// `outcomes` (the quadratic Table-I grid), filling it in place, in
+    /// its own order. Each pairing is an independent simulation, so the
+    /// grid fans out across [`ExperimentConfig::jobs`] workers under the
+    /// supervision envelope. Pairings whose cell fails keep
+    /// `measured: None` — the natural typed hole of [`PairOutcome`] — and
+    /// the reason comes back in the failure list; every sibling pairing
+    /// still completes. A pairing whose victim has no solo baseline in the
+    /// (possibly partial) table also stays unmeasured.
     pub fn measure_pairs_supervised_with(
         &self,
         backend: &dyn Backend,
@@ -404,29 +291,16 @@ impl Study {
         )?;
         let mut failures = Vec::new();
         for (o, r) in outcomes.iter_mut().zip(results) {
-            match r {
-                Ok(t) => match self.table.solo.get(&o.victim) {
-                    Some(&solo) => {
-                        let measured = degradation_percent(solo, t);
-                        o.measured = Some(measured);
-                        progress(&format!(
-                            "{} with {} -> measured {measured:+.1}%",
-                            o.victim.name(),
-                            o.other.name(),
-                        ));
-                    }
-                    None => progress(&format!(
-                        "{} with {} -> (no solo baseline)",
-                        o.victim.name(),
-                        o.other.name()
-                    )),
-                },
-                Err(e) => {
-                    progress(&format!(
-                        "{} with {} FAILED: {e}",
-                        o.victim.name(),
-                        o.other.name()
-                    ));
+            let pair = format!("{} with {}", o.victim.name(), o.other.name());
+            match (r, self.table.solo.get(&o.victim)) {
+                (Ok(t), Some(&solo)) => {
+                    let measured = degradation_percent(solo, t);
+                    o.measured = Some(measured);
+                    progress(&format!("{pair} -> measured {measured:+.1}%"));
+                }
+                (Ok(_), None) => progress(&format!("{pair} -> (no solo baseline)")),
+                (Err(e), _) => {
+                    progress(&format!("{pair} FAILED: {e}"));
                     failures.push(e);
                 }
             }
@@ -594,15 +468,10 @@ mod tests {
         let apps = [AppKind::Fftw, AppKind::Milc];
         let models = all_models();
 
-        let mut plain = s.predict_all(&apps, &models);
-        let mut plain_lines = Vec::new();
-        s.measure_pairs_recorded_with(&FakeBackend::clean(), &cfg, &mut plain, |l| {
-            plain_lines.push(l.to_owned())
-        })
-        .unwrap();
-
+        // Golden output of a clean run: progress lines and measured
+        // slowdowns (130/100 ms = +30%).
         let mut supervised = s.predict_all(&apps, &models);
-        let mut sup_lines = Vec::new();
+        let mut lines = Vec::new();
         let (failures, _) = s
             .measure_pairs_supervised_with(
                 &FakeBackend::clean(),
@@ -610,15 +479,23 @@ mod tests {
                 &mut supervised,
                 &Supervisor::none(),
                 None,
-                |l| sup_lines.push(l.to_owned()),
+                |l| lines.push(l.to_owned()),
             )
             .unwrap();
         assert!(failures.is_empty());
-        assert_eq!(sup_lines, plain_lines, "identical progress lines");
-        for (a, b) in supervised.iter().zip(&plain) {
+        assert_eq!(
+            lines,
+            [
+                "FFTW with FFTW -> measured +30.0%",
+                "FFTW with MILC -> measured +30.0%",
+                "MILC with FFTW -> measured +30.0%",
+                "MILC with MILC -> measured +30.0%",
+            ]
+        );
+        for o in &supervised {
             assert_eq!(
-                a.measured.unwrap().to_bits(),
-                b.measured.unwrap().to_bits(),
+                o.measured.unwrap().to_bits(),
+                30f64.to_bits(),
                 "bit-identical measurements"
             );
         }

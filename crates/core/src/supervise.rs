@@ -1,10 +1,10 @@
 //! The sweep supervisor: panic isolation, per-cell run budgets, retries,
 //! and journal-backed resume.
 //!
-//! The plain engine in [`crate::sweep`] trusts its tasks: a panicking
-//! cell poisons result slots and aborts the whole sweep, and a wedged
-//! simulation holds a worker forever. This module wraps every cell in a
-//! supervision envelope instead:
+//! The plain engine, [`crate::sweep::sweep_recorded_for`], trusts its
+//! tasks: a panicking cell aborts the whole sweep, and a wedged
+//! simulation holds a worker forever. This module runs on the same worker
+//! pool but wraps every cell in a supervision envelope instead:
 //!
 //! * **Panic isolation** — each cell runs under
 //!   [`std::panic::catch_unwind`]; a panic becomes
@@ -27,22 +27,21 @@
 //!   re-simulating them, after fingerprint verification.
 //!
 //! Results come back as index-ordered `Vec<CellResult<T>>` — completed
-//! sweeps are byte-identical to the plain engine; incomplete sweeps have
+//! sweeps are byte-identical to a serial loop over the cells, whatever
+//! the worker count and whatever the supervisor; incomplete sweeps have
 //! typed holes where cells failed, and callers map the hole pattern onto
 //! the 0 (complete) / 3 (partial) / 1 (failed) exit-code convention via
 //! [`partial_exit_code`].
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use anp_simmpi::StallReport;
 
 use crate::experiments::ExperimentError;
 use crate::journal::{CellStatus, JournalEntry, JournalError, Journaled, RunJournal};
-use crate::sweep::{take_events, Parallelism, RunRecord, SweepTelemetry};
+use crate::sweep::{fan_out, take_events, Parallelism, RunRecord, SweepTelemetry};
 
 /// Per-attempt resource caps for one sweep cell. `None` = unlimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,6 +88,24 @@ impl Supervisor {
     /// No budgets, no retries — pure panic isolation.
     pub fn none() -> Self {
         Supervisor::default()
+    }
+
+    /// The envelope of the front ends' supervision flags: `budget` caps
+    /// every cell attempt, and failed cells get up to `max_retries`
+    /// re-attempts whose backoff starts at 100 ms and doubles (no backoff
+    /// at all when `max_retries` is 0).
+    pub fn new(budget: RunBudget, max_retries: u32) -> Self {
+        Supervisor {
+            budget,
+            retry: RetryPolicy {
+                max_retries,
+                backoff: if max_retries > 0 {
+                    Duration::from_millis(100)
+                } else {
+                    Duration::ZERO
+                },
+            },
+        }
     }
 }
 
@@ -333,7 +350,7 @@ where
     sweep_supervised_for(name, "des", par, sup, journal, config_fp, tasks)
 }
 
-/// The supervised sweep engine: like
+/// The supervised sweep engine: the worker pool of
 /// [`crate::sweep::sweep_recorded_for`], but every cell runs inside the
 /// supervision envelope (panic isolation, budgets, retries) and, with a
 /// journal, is recorded for resume. Tasks are `Fn` rather than `FnOnce`
@@ -341,8 +358,9 @@ where
 /// experiment config, so re-invocation is deterministic.
 ///
 /// Results are index-ordered; completed cells are byte-identical to a
-/// plain serial sweep. The only error is a journal/fingerprint conflict
-/// — cell failures come back *inside* the vector as typed holes.
+/// serial, unsupervised run of the same tasks. The only error is a
+/// journal/fingerprint conflict — cell failures come back *inside* the
+/// vector as typed holes.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_supervised_for<T, F>(
     name: &str,
@@ -471,55 +489,14 @@ where
         (result, record)
     };
 
-    let (results, runs) = if workers <= 1 || n <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        for i in 0..n {
-            let (r, rec) = finish_cell(i);
-            results.push(r);
-            runs.push(rec);
-        }
-        (results, runs)
-    } else {
-        // Parallel path, mirroring the plain engine's index-claiming
-        // loop — but cells cannot poison anything: the closure never
-        // panics (panics are caught and typed inside `finish_cell`).
-        type CellSlot<T> = Mutex<Option<(CellResult<T>, RunRecord)>>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<CellSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let finish_cell = &finish_cell;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = finish_cell(i);
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-                });
-            }
-        });
-        let mut results = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        for slot in slots {
-            let (r, rec) = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // anp-lint: allow(D003) — thread::scope joins every worker before collection, so each slot holds exactly one result
-                .expect("supervised cell did not produce a result");
-            results.push(r);
-            runs.push(rec);
-        }
-        (results, runs)
-    };
+    // `finish_cell` never panics (panics are caught and typed inside
+    // `run_cell`), so no cell can take the pool down.
+    let (results, runs) = fan_out(workers, n, finish_cell).into_iter().unzip();
 
     let telemetry = SweepTelemetry {
         name: name.to_owned(),
         backend: backend.to_owned(),
-        workers: if workers <= 1 || n <= 1 { 1 } else { workers },
+        workers,
         wall_secs: sweep_start.elapsed().as_secs_f64(),
         runs,
     };
@@ -531,6 +508,7 @@ mod tests {
     use super::*;
     use anp_simmpi::JobId;
     use anp_simnet::SimTime;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn stall() -> StallReport {
         StallReport {
@@ -578,6 +556,49 @@ mod tests {
         assert_eq!(
             partial_exit_code(completed_count(&results), results.len()),
             3
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn engines_differ_in_their_panic_contract() {
+        let tasks = || -> Vec<(String, CellFn)> {
+            (0..6u64)
+                .map(|i| {
+                    let f: CellFn = if i == 2 {
+                        Box::new(|| panic!("injected panic in cell 2"))
+                    } else {
+                        Box::new(move || Ok(i))
+                    };
+                    (format!("cell{i}"), f)
+                })
+                .collect()
+        };
+        // The supervised engine types the panic and keeps the siblings.
+        let (results, _) =
+            sweep_supervised("iso", Parallelism::fixed(4), &sup(), None, 0, tasks()).unwrap();
+        assert!(matches!(
+            results[2].as_ref().unwrap_err(),
+            TaskError::Panicked { cell: 2, .. }
+        ));
+        assert_eq!(completed_count(&results), 5);
+        // The plain engine on the same pool lets it propagate.
+        crate::sweep::sweep_recorded_for("plain", "des", Parallelism::fixed(4), tasks());
+    }
+
+    #[test]
+    fn new_supervisor_backs_off_only_when_retrying() {
+        let budget = RunBudget {
+            wall: Some(Duration::from_millis(1500)),
+            events: Some(100),
+        };
+        let sup = Supervisor::new(budget, 2);
+        assert_eq!(sup.budget, budget);
+        assert_eq!(sup.retry.max_retries, 2);
+        assert_eq!(sup.retry.backoff, Duration::from_millis(100));
+        assert_eq!(
+            Supervisor::new(RunBudget::unlimited(), 0),
+            Supervisor::none()
         );
     }
 

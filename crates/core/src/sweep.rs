@@ -7,24 +7,27 @@
 //! [`anp_simmpi::World`] from the experiment config alone, so cells share
 //! no state and can execute on any thread in any order.
 //!
-//! [`sweep`] exploits that: it fans a slice of experiment closures out
-//! across `N` worker threads (std [`std::thread::scope`], no runtime
-//! dependencies) and collects results **by index**. Workers pull the next
-//! unclaimed index from an atomic counter; each result lands in its own
-//! slot, so the output vector is byte-identical to what a serial loop in
-//! index order would produce, regardless of scheduling. With
-//! [`Parallelism::Fixed`]`(1)` the tasks run in order on the calling
-//! thread — exactly the old serial behavior.
+//! One worker pool, `fan_out`, exploits that for both sweep engines: it
+//! runs cell `i` for every index across `N` worker threads (std
+//! [`std::thread::scope`], no runtime dependencies) and collects results
+//! **by index**. Workers pull the next unclaimed index from an atomic
+//! counter; each result lands in its own slot, so the output vector is
+//! byte-identical to what a serial loop in index order would produce,
+//! regardless of scheduling. With [`Parallelism::Fixed`]`(1)` the cells
+//! run in order on the calling thread.
 //!
-//! [`sweep_recorded`] additionally captures a [`SweepTelemetry`] record:
+//! [`sweep_recorded_for`] is the plain engine: it trusts its tasks (a
+//! panicking task propagates) and captures a [`SweepTelemetry`] record —
 //! per-run wall time and simulation events processed (reported by the
 //! experiment drivers via [`note_events`]), plus whole-sweep wall time and
-//! worker count. Harnesses serialize these records to `BENCH_anp.json` so
-//! the performance trajectory of the engine is tracked run over run.
+//! worker count. [`crate::supervise::sweep_supervised_for`] is the
+//! supervised engine on the same pool. Harnesses serialize the telemetry
+//! to `BENCH_anp.json` so the performance trajectory of the engine is
+//! tracked run over run.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// How many worker threads a sweep may use.
@@ -228,40 +231,54 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Runs `cell(i)` for every `i` in `0..n` on up to `workers` threads
+/// and returns the results **in index order** — byte-identical to a
+/// serial loop, regardless of how the scheduler interleaves the cells.
+/// With one worker (or at most one cell) the cells run in order on the
+/// calling thread. A panicking cell propagates out of the pool once
+/// every worker has stopped.
+pub(crate) fn fan_out<R: Send>(
+    workers: usize,
+    n: usize,
+    cell: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(cell).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(n) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = cell(i);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                // anp-lint: allow(D003) — thread::scope joins every worker before collection, so each slot holds exactly one result
+                .expect("sweep cell did not produce a result")
+        })
+        .collect()
+}
+
 /// Runs `tasks` across up to [`Parallelism::workers`] threads and returns
-/// the results **in task order** — byte-identical to running the closures
-/// serially, regardless of how the scheduler interleaves them.
+/// their results **in task order** together with a [`SweepTelemetry`]
+/// record: per-run wall time and simulation events, whole-sweep wall
+/// time, worker count. Every [`RunRecord`] and the telemetry itself are
+/// attributed to `backend` (`"des"`, `"flow"`, …).
 ///
 /// Tasks must be independent: each closure owns (or shares immutably)
-/// everything it needs. A panicking task propagates out of the sweep.
-pub fn sweep<T, F>(par: Parallelism, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let labeled: Vec<(String, F)> = tasks.into_iter().map(|f| (String::new(), f)).collect();
-    sweep_recorded("sweep", par, labeled).0
-}
-
-/// [`sweep`], additionally recording a [`SweepTelemetry`]: per-run wall
-/// time and simulation events, whole-sweep wall time, worker count. The
-/// telemetry is attributed to the `"des"` backend (the default engine);
-/// use [`sweep_recorded_for`] to attribute another.
-pub fn sweep_recorded<T, F>(
-    name: &str,
-    par: Parallelism,
-    tasks: Vec<(String, F)>,
-) -> (Vec<T>, SweepTelemetry)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    sweep_recorded_for(name, "des", par, tasks)
-}
-
-/// [`sweep_recorded`] with an explicit backend attribution: every
-/// [`RunRecord`] and the [`SweepTelemetry`] itself record which
-/// measurement engine produced the cells (`"des"`, `"flow"`, …).
+/// everything it needs. A panicking task propagates out of the sweep;
+/// [`crate::supervise::sweep_supervised_for`] isolates panics instead.
 pub fn sweep_recorded_for<T, F>(
     name: &str,
     backend: &str,
@@ -275,8 +292,16 @@ where
     let n = tasks.len();
     let workers = par.workers().min(n.max(1));
     let sweep_start = Instant::now();
+    let tasks: Vec<Mutex<Option<(String, F)>>> =
+        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
 
-    let run_task = |label: String, f: F| -> (T, RunRecord) {
+    let (values, runs) = fan_out(workers, n, |i| {
+        let (label, f) = tasks[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            // anp-lint: allow(D003) — the pool hands each index to exactly one call; a double claim is engine corruption that must halt loudly
+            .expect("sweep task claimed twice");
         let _ = take_events(); // drop any stale tally from a previous cell
         let start = Instant::now();
         let value = f();
@@ -289,69 +314,9 @@ where
             retries: 0,
         };
         (value, record)
-    };
-
-    if workers <= 1 || n <= 1 {
-        // Serial path: in order, on the calling thread — the exact
-        // pre-engine behavior.
-        let mut values = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        for (label, f) in tasks {
-            let (v, r) = run_task(label, f);
-            values.push(v);
-            runs.push(r);
-        }
-        let telemetry = SweepTelemetry {
-            name: name.to_owned(),
-            backend: backend.to_owned(),
-            workers: 1,
-            wall_secs: sweep_start.elapsed().as_secs_f64(),
-            runs,
-        };
-        return (values, telemetry);
-    }
-
-    // Parallel path: workers claim indices from an atomic counter; every
-    // result is written to its own slot, so collection order is the task
-    // order no matter which worker ran what.
-    let next = AtomicUsize::new(0);
-    let task_slots: Vec<Mutex<Option<(String, F)>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let result_slots: Vec<Mutex<Option<(T, RunRecord)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (label, f) = task_slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    // anp-lint: allow(D003) — the atomic counter hands each index to exactly one worker; a double claim is engine corruption that must halt loudly
-                    .expect("sweep task claimed twice");
-                let out = run_task(label, f);
-                *result_slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-            });
-        }
-    });
-
-    let mut values = Vec::with_capacity(n);
-    let mut runs = Vec::with_capacity(n);
-    for slot in result_slots {
-        let (v, r) = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            // anp-lint: allow(D003) — thread::scope joins every worker before collection, so each slot holds exactly one result
-            .expect("sweep task did not produce a result");
-        values.push(v);
-        runs.push(r);
-    }
+    })
+    .into_iter()
+    .unzip();
     let telemetry = SweepTelemetry {
         name: name.to_owned(),
         backend: backend.to_owned(),
@@ -366,25 +331,30 @@ where
 mod tests {
     use super::*;
 
+    /// The plain engine over unlabeled tasks, values only.
+    fn values<T: Send>(par: Parallelism, tasks: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
+        let labeled = tasks.into_iter().map(|f| (String::new(), f)).collect();
+        sweep_recorded_for("unit", "des", par, labeled).0
+    }
+
+    /// Burns time proportional to `work`; the value depends only on `i`.
+    fn skewed(i: u64, work: u64) -> u64 {
+        let mut acc = 0u64;
+        for k in 0..work * 1_000 {
+            acc = acc.wrapping_add(k ^ i);
+        }
+        i + acc.wrapping_mul(0)
+    }
+
     #[test]
     fn results_come_back_in_task_order() {
         // Give later tasks *less* work so they finish first under any
         // parallel schedule; the output must still be index-ordered.
-        let tasks: Vec<_> = (0..64u64)
-            .map(|i| {
-                move || {
-                    let spin = (64 - i) * 1_000;
-                    let mut acc = 0u64;
-                    for k in 0..spin {
-                        acc = acc.wrapping_add(k ^ i);
-                    }
-                    (i, acc.wrapping_mul(0)) // value depends only on i
-                }
-            })
-            .collect();
-        let out = sweep(Parallelism::fixed(8), tasks);
-        let ids: Vec<u64> = out.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ids, (0..64).collect::<Vec<_>>());
+        let tasks: Vec<_> = (0..64u64).map(|i| move || skewed(i, 64 - i)).collect();
+        assert_eq!(
+            values(Parallelism::fixed(8), tasks),
+            (0..64).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -394,16 +364,31 @@ mod tests {
                 .map(|i| move || i.wrapping_mul(0x9E37_79B9).rotate_left(i as u32 % 13))
                 .collect::<Vec<_>>()
         };
-        let serial = sweep(Parallelism::fixed(1), mk());
-        let parallel = sweep(Parallelism::fixed(7), mk());
+        let serial = values(Parallelism::fixed(1), mk());
+        let parallel = values(Parallelism::fixed(7), mk());
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_and_single_task_sweeps() {
         let none: Vec<fn() -> u32> = vec![];
-        assert!(sweep(Parallelism::Auto, none).is_empty());
-        assert_eq!(sweep(Parallelism::Auto, vec![|| 41 + 1]), vec![42]);
+        assert!(values(Parallelism::Auto, none).is_empty());
+        assert_eq!(values(Parallelism::Auto, vec![|| 41 + 1]), vec![42]);
+    }
+
+    #[test]
+    fn fan_out_handles_small_pools() {
+        assert!(fan_out(4, 0, |i| i).is_empty());
+        assert_eq!(fan_out(4, 1, |i| i + 7), vec![7]);
+        assert_eq!(fan_out(1, 3, |i| i * 2), vec![0, 2, 4]);
+        assert_eq!(fan_out(16, 3, |i| i * 10), vec![0, 10, 20], "workers > n");
+    }
+
+    #[test]
+    fn fan_out_keeps_index_order_under_skewed_costs() {
+        // Early cells are the expensive ones, so later cells finish first.
+        let out = fan_out(4, 48, |i| skewed(i as u64, 48 - i as u64));
+        assert_eq!(out, (0..48).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -416,7 +401,7 @@ mod tests {
                 })
             })
             .collect();
-        let (values, t) = sweep_recorded("unit", Parallelism::fixed(3), tasks);
+        let (values, t) = sweep_recorded_for("unit", "des", Parallelism::fixed(3), tasks);
         assert_eq!(values, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.runs.len(), 5);
         assert_eq!(t.name, "unit");
@@ -429,8 +414,9 @@ mod tests {
 
     #[test]
     fn serial_telemetry_reports_one_worker() {
-        let (_, t) = sweep_recorded(
+        let (_, t) = sweep_recorded_for(
             "serial",
+            "des",
             Parallelism::fixed(1),
             vec![("a".to_owned(), || ())],
         );
@@ -441,7 +427,7 @@ mod tests {
     fn stale_events_do_not_leak_between_cells() {
         note_events(999); // tally left by an earlier, unswept experiment
         let tasks = vec![("only".to_owned(), || note_events(5))];
-        let (_, t) = sweep_recorded("leak", Parallelism::fixed(1), tasks);
+        let (_, t) = sweep_recorded_for("leak", "des", Parallelism::fixed(1), tasks);
         assert_eq!(t.events_total(), 5);
     }
 
@@ -497,7 +483,15 @@ mod tests {
 
     #[test]
     fn backend_attribution_defaults_to_des_and_mixes_on_absorb() {
-        let (_, des) = sweep_recorded("d", Parallelism::fixed(1), vec![("a".to_owned(), || ())]);
+        let (_, des) = crate::supervise::sweep_supervised(
+            "d",
+            Parallelism::fixed(1),
+            &crate::supervise::Supervisor::none(),
+            None,
+            0,
+            vec![("a".to_owned(), || Ok::<u64, crate::ExperimentError>(0))],
+        )
+        .unwrap();
         assert_eq!(des.backend, "des");
         assert_eq!(des.runs[0].backend, "des");
         let (_, flow) = sweep_recorded_for(

@@ -12,7 +12,7 @@
 //!   probe train co-resident: the monitoring tax on real work.
 
 use anp_core::{
-    calibrate, degradation_percent, impact_series, runtime_of, solo_runtime, sweep_recorded,
+    calibrate, degradation_percent, impact_series, runtime_of, solo_runtime, sweep_recorded_for,
     Calibration, ExperimentConfig, ExperimentError, LatencyProfile, MuPolicy, Parallelism,
     SweepTelemetry,
 };
@@ -330,7 +330,8 @@ pub fn run_monitor_study(
             )
         })
         .collect();
-    let (util_results, mut telemetry) = sweep_recorded("monitor-util", cfg.jobs, util_tasks);
+    let (util_results, mut telemetry) =
+        sweep_recorded_for("monitor-util", "des", cfg.jobs, util_tasks);
     telemetry.name = "monitor-study".to_owned();
     let mut window_log: Vec<(String, Vec<WindowEstimate>)> = Vec::new();
     let mut utilization = Vec::new();
@@ -389,7 +390,7 @@ pub fn run_monitor_study(
             )
         })
         .collect();
-    let (detect_results, t) = sweep_recorded("monitor-detect", cfg.jobs, detect_tasks);
+    let (detect_results, t) = sweep_recorded_for("monitor-detect", "des", cfg.jobs, detect_tasks);
     telemetry.absorb(t);
     let mut detection = Vec::new();
     for cell in detect_results {
@@ -426,7 +427,8 @@ pub fn run_monitor_study(
             })
         })
         .collect();
-    let (overhead_results, t) = sweep_recorded("monitor-overhead", cfg.jobs, overhead_tasks);
+    let (overhead_results, t) =
+        sweep_recorded_for("monitor-overhead", "des", cfg.jobs, overhead_tasks);
     telemetry.absorb(t);
     let overhead = overhead_results
         .into_iter()

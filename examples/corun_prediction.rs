@@ -12,7 +12,7 @@
 //! ```
 
 use active_netprobe::core::{
-    all_models, calibrate, ExperimentConfig, LookupTable, MuPolicy, Study,
+    all_models, calibrate, DesBackend, ExperimentConfig, LookupTable, MuPolicy, Study, Supervisor,
 };
 use active_netprobe::workloads::{AppKind, CompressionConfig};
 
@@ -31,8 +31,22 @@ fn main() {
         .filter(|(i, _)| i % 5 == (i / 5) % 5)
         .map(|(_, c)| c)
         .collect();
-    let table =
-        LookupTable::measure(&cfg, calib, &apps, &sweep, |_| {}).expect("table measurement");
+    // Every sweep runs without supervision limits or a journal; a missing
+    // cell ends the example.
+    let none = Supervisor::none();
+    let (lut, _) = LookupTable::measure_supervised_with(
+        &DesBackend,
+        &cfg,
+        calib,
+        &apps,
+        &sweep,
+        &none,
+        None,
+        |_| {},
+    )
+    .expect("table measurement");
+    assert!(lut.is_complete(), "table holes: {:?}", lut.failures);
+    let table = lut.table.expect("complete table");
     println!(
         "      table covers {:.0}%..{:.0}% switch utilization",
         table.utilization_range().0 * 100.0,
@@ -40,23 +54,34 @@ fn main() {
     );
 
     println!("[2/3] measuring each app's impact profile...");
-    let study = Study::measure_profiles(&cfg, table, &apps, |_| {}).expect("profiles");
+    let (study, holes, _) = Study::measure_profiles_supervised_with(
+        &DesBackend,
+        &cfg,
+        table,
+        &apps,
+        &none,
+        None,
+        |_| {},
+    )
+    .expect("profiles");
+    assert!(holes.is_empty(), "profile holes: {holes:?}");
 
     // Predict both directions of the pairing with all four models.
     println!("[3/3] predicting FFTW <-> MILC, then verifying with a co-run...\n");
     let models = all_models();
-    for (victim, other) in [
-        (AppKind::Fftw, AppKind::Milc),
-        (AppKind::Milc, AppKind::Fftw),
-    ] {
-        let mut outcome = study.predict_pair(victim, other, &models);
-        study
-            .measure_pair(&cfg, &mut outcome)
-            .expect("co-run ground truth");
+    let mut outcomes = [
+        study.predict_pair(AppKind::Fftw, AppKind::Milc, &models),
+        study.predict_pair(AppKind::Milc, AppKind::Fftw, &models),
+    ];
+    let (holes, _) = study
+        .measure_pairs_supervised_with(&DesBackend, &cfg, &mut outcomes, &none, None, |_| {})
+        .expect("co-run ground truth");
+    assert!(holes.is_empty(), "co-run holes: {holes:?}");
+    for outcome in &outcomes {
         println!(
             "{} co-run with {}: measured {:+.1}%",
-            victim.name(),
-            other.name(),
+            outcome.victim.name(),
+            outcome.other.name(),
             outcome.measured.unwrap()
         );
         for (&model, prediction) in &outcome.predicted {

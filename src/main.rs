@@ -23,8 +23,8 @@ use anp_core::{
     all_models, audit_compiled, calibrate_with, completed_count, config_fingerprint,
     degradation_percent, loss_sweep_supervised, partial_exit_code, run_oracle,
     sweep_supervised_for, Backend, BackendError, DesBackend, ExperimentConfig, ExperimentError,
-    LatencyProfile, LookupTable, ModelKind, MuPolicy, Parallelism, RetryPolicy, RunBudget,
-    RunJournal, Study, Supervisor, WorkloadSpec,
+    LatencyProfile, LookupTable, ModelKind, MuPolicy, Parallelism, RunBudget, RunJournal, Study,
+    Supervisor, WorkloadSpec,
 };
 use anp_monitor::{
     gate_violations, render_report as render_monitor_report, run_monitor_study, MonitorOpts,
@@ -220,24 +220,15 @@ impl<B: Backend> Backend for HookedBackend<B> {
 /// without the requested crash net would be worse than stopping.
 fn open_journal(path: Option<&std::path::Path>) -> Option<RunJournal> {
     let path = path?;
-    let journal = if path.exists() {
-        RunJournal::resume(path)
-    } else {
-        RunJournal::create(path)
-    };
-    match journal {
-        Ok(j) => {
-            if j.completed_cells() > 0 {
-                eprintln!(
-                    "(resuming: {} completed cells journaled in {})",
-                    j.completed_cells(),
-                    path.display()
-                );
-            }
-            Some(j)
-        }
-        Err(e) => fail(e),
+    let journal = RunJournal::open_or_create(path).unwrap_or_else(|e| fail(e));
+    if journal.completed_cells() > 0 {
+        eprintln!(
+            "(resuming: {} completed cells journaled in {})",
+            journal.completed_cells(),
+            path.display()
+        );
     }
+    Some(journal)
 }
 
 fn main() {
@@ -246,7 +237,7 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut backend_name = "des".to_owned();
     let mut max_retries = 0u32;
-    let mut run_budget_secs: Option<f64> = None;
+    let mut run_budget: Option<Duration> = None;
     let mut event_budget: Option<u64> = None;
     let mut resume: Option<std::path::PathBuf> = None;
     while let Some(a) = args.peek() {
@@ -270,14 +261,16 @@ fn main() {
             args.next();
             let raw = args.next();
             let secs: f64 = parse_flag("--run-budget", raw.clone());
-            if secs.is_nan() || secs <= 0.0 {
-                eprintln!(
-                    "anp: invalid value for --run-budget: \"{}\"",
-                    raw.unwrap_or_default()
-                );
-                usage();
+            match Duration::try_from_secs_f64(secs) {
+                Ok(wall) if !wall.is_zero() => run_budget = Some(wall),
+                _ => {
+                    eprintln!(
+                        "anp: invalid value for --run-budget: \"{}\"",
+                        raw.unwrap_or_default()
+                    );
+                    usage();
+                }
             }
-            run_budget_secs = Some(secs);
         } else if a == "--event-budget" {
             args.next();
             event_budget = Some(parse_flag("--event-budget", args.next()));
@@ -331,20 +324,11 @@ fn main() {
         }
         std::process::exit(if report.is_clean() { 0 } else { 1 });
     }
-    let supervisor = Supervisor {
-        budget: RunBudget {
-            wall: run_budget_secs.map(Duration::from_secs_f64),
-            events: event_budget,
-        },
-        retry: RetryPolicy {
-            max_retries,
-            backoff: if max_retries > 0 {
-                Duration::from_millis(100)
-            } else {
-                Duration::ZERO
-            },
-        },
+    let budget = RunBudget {
+        wall: run_budget,
+        events: event_budget,
     };
+    let supervisor = Supervisor::new(budget, max_retries);
     let mut cfg = ExperimentConfig::cab().with_seed(seed);
     if let Some(n) = jobs {
         cfg = cfg.with_jobs(n);
@@ -649,14 +633,37 @@ fn main() {
                 .filter(|(i, _)| i % 5 == (i / 5) % 5)
                 .map(|(_, c)| c)
                 .collect();
-            let (table, _) =
-                LookupTable::measure_recorded_with(backend, &cfg, calib, &apps, &sweep, |line| {
-                    eprintln!("  {line}");
-                })
-                .unwrap_or_else(|e| fail(e));
-            let (study, _) =
-                Study::measure_profiles_recorded_with(backend, &cfg, table, &apps, |_| {})
-                    .unwrap_or_else(|e| fail(e));
+            // Both sweeps run under the supervision flags (no journal:
+            // `--resume` does not apply here); the first hole in serial
+            // order is the error.
+            let (lut, _) = LookupTable::measure_supervised_with(
+                backend,
+                &cfg,
+                calib,
+                &apps,
+                &sweep,
+                &supervisor,
+                None,
+                |line| eprintln!("  {line}"),
+            )
+            .unwrap_or_else(|e| fail(e));
+            let table = match lut.failures.first() {
+                Some(hole) => fail(hole),
+                None => lut.table.expect("a complete table has entries"),
+            };
+            let (study, holes, _) = Study::measure_profiles_supervised_with(
+                backend,
+                &cfg,
+                table,
+                &apps,
+                &supervisor,
+                None,
+                |_| {},
+            )
+            .unwrap_or_else(|e| fail(e));
+            if let Some(hole) = holes.first() {
+                fail(hole);
+            }
             let models = all_models();
             for (victim, other) in [(a, b), (b, a)] {
                 let outcome = study.predict_pair(victim, other, &models);

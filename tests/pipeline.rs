@@ -8,7 +8,8 @@
 //! debug-build test suite.
 
 use active_netprobe::core::{
-    all_models, calibrate, ExperimentConfig, LookupTable, ModelKind, MuPolicy, Study,
+    all_models, calibrate, Calibration, DesBackend, ExperimentConfig, LookupTable, ModelKind,
+    MuPolicy, Study, Supervisor,
 };
 use active_netprobe::workloads::{AppKind, CompressionConfig};
 
@@ -21,25 +22,63 @@ fn reduced_sweep() -> Vec<CompressionConfig> {
     ]
 }
 
+/// Measures a look-up table on the DES with no supervision limits and
+/// asserts it completed without holes.
+fn measure_table(
+    cfg: &ExperimentConfig,
+    calib: Calibration,
+    apps: &[AppKind],
+    sweep: &[CompressionConfig],
+) -> LookupTable {
+    let none = Supervisor::none();
+    let (outcome, _) = LookupTable::measure_supervised_with(
+        &DesBackend,
+        cfg,
+        calib,
+        apps,
+        sweep,
+        &none,
+        None,
+        |_| {},
+    )
+    .expect("table");
+    assert!(outcome.is_complete(), "holes: {:?}", outcome.failures);
+    outcome.table.expect("complete table")
+}
+
 #[test]
 fn full_pipeline_predicts_pairings_sanely() {
     let cfg = ExperimentConfig::cab().with_seed(21);
     let apps = [AppKind::Fftw, AppKind::Mcb];
 
     let calib = calibrate(&cfg, MuPolicy::MinLatency).expect("calibration");
-    let table = LookupTable::measure(&cfg, calib, &apps, &reduced_sweep(), |_| {}).expect("table");
+    let table = measure_table(&cfg, calib, &apps, &reduced_sweep());
     let (lo, hi) = table.utilization_range();
     assert!(lo < hi, "sweep must span a utilization range");
     assert!(hi > 0.7, "heaviest config must be heavy (got {hi})");
 
-    let study = Study::measure_profiles(&cfg, table, &apps, |_| {}).expect("profiles");
+    let none = Supervisor::none();
+    let (study, holes, _) = Study::measure_profiles_supervised_with(
+        &DesBackend,
+        &cfg,
+        table,
+        &apps,
+        &none,
+        None,
+        |_| {},
+    )
+    .expect("profiles");
+    assert!(holes.is_empty(), "profile holes: {holes:?}");
     let models = all_models();
     let mut outcomes = study.predict_all(&apps, &models);
     assert_eq!(outcomes.len(), 4, "2 apps -> 4 ordered pairings");
-    for o in outcomes.iter_mut() {
+    for o in &outcomes {
         assert_eq!(o.predicted.len(), 4, "all models must predict");
-        study.measure_pair(&cfg, o).expect("ground truth");
     }
+    let (holes, _) = study
+        .measure_pairs_supervised_with(&DesBackend, &cfg, &mut outcomes, &none, None, |_| {})
+        .expect("ground truth");
+    assert!(holes.is_empty(), "pairing holes: {holes:?}");
 
     // Structural expectations from the paper:
     // FFTW hurt by FFTW must far exceed FFTW hurt by MCB …
@@ -83,7 +122,7 @@ fn study_is_deterministic() {
     let sweep = vec![CompressionConfig::new(7, 2_500_000, 10)];
     let run = || {
         let calib = calibrate(&cfg, MuPolicy::MinLatency).unwrap();
-        let table = LookupTable::measure(&cfg, calib, &apps, &sweep, |_| {}).unwrap();
+        let table = measure_table(&cfg, calib, &apps, &sweep);
         let entry = &table.entries[0];
         (
             entry.profile.mean().to_bits(),

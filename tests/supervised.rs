@@ -245,3 +245,60 @@ fn resume_journal_makes_loss_sweep_replayable() {
     );
     let _ = std::fs::remove_file(&journal);
 }
+
+#[test]
+fn run_budget_rejects_values_no_duration_can_hold() {
+    for bad in ["inf", "1e300", "NaN", "-1", "0"] {
+        let out = run(&["--run-budget", bad, "apps"], &[]);
+        assert_eq!(out.status.code(), Some(2), "--run-budget {bad}");
+        assert!(stderr_of(&out).contains("--run-budget"), "{bad}");
+    }
+    let ok = run(&["--run-budget", "0.5", "apps"], &[]);
+    assert_eq!(ok.status.code(), Some(0), "{}", stderr_of(&ok));
+}
+
+#[test]
+fn predict_is_identical_for_any_worker_count() {
+    let predict = |jobs| {
+        run(
+            &[
+                "--backend",
+                "flow",
+                "--jobs",
+                jobs,
+                "predict",
+                "FFTW",
+                "MILC",
+            ],
+            &[],
+        )
+    };
+    let (serial, parallel) = (predict("1"), predict("4"));
+    assert_eq!(serial.status.code(), Some(0), "{}", stderr_of(&serial));
+    assert_eq!(parallel.status.code(), Some(0), "{}", stderr_of(&parallel));
+    assert!(stdout_of(&serial).contains("FFTW co-run with MILC:"));
+    assert_eq!(stdout_of(&serial), stdout_of(&parallel));
+    assert_eq!(stderr_of(&serial), stderr_of(&parallel));
+}
+
+#[test]
+fn predict_honors_the_supervision_flags_and_names_the_first_hole() {
+    // A one-event budget trips every simulated cell of the look-up table;
+    // the first hole in serial order is the first solo run.
+    let out = run(
+        &[
+            "--jobs",
+            "2",
+            "--event-budget",
+            "1",
+            "predict",
+            "FFTW",
+            "MILC",
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let expected = "error: cell 0 'solo:FFTW': run budget spent";
+    assert!(stderr_of(&out).contains(expected), "{}", stderr_of(&out));
+    assert!(stdout_of(&out).is_empty());
+}
